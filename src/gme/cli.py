@@ -206,13 +206,13 @@ def cmd_bound(args):
     try:
         if isinstance(obj, Subspace):
             if args.relaxation in ("auto", "ppt") and args.k == 2 or len(obj.dims) > 2:
-                value = sdp.lower_bound_subspace_ppt(obj)
+                value, sol = sdp.lower_bound_subspace_ppt(obj, full_output=True)
                 method = "sdp-ppt"
             else:
-                value = sdp.lower_bound_subspace_reduction(obj, args.k)
+                value, sol = sdp.lower_bound_subspace_reduction(obj, args.k, full_output=True)
                 method = "sdp-reduction"
         elif isinstance(obj, DensityMatrix):
-            value = sdp.lower_bound_mixed(obj, args.k, relaxation=args.relaxation)
+            value, sol = sdp.lower_bound_mixed(obj, args.k, relaxation=args.relaxation, full_output=True)
             method = f"sdp-{args.relaxation}"
         else:
             raise CliError("subcommand 'bound' needs a mixed state or subspace", EXIT_USAGE)
@@ -225,7 +225,7 @@ def cmd_bound(args):
             "value": value,
             "k": args.k,
             "method": method,
-            "converged": True,
+            "converged": sol.status == "optimal",
             "seed": args.seed,
             "certifying": bool(value > sdp.NONCERTIFYING),
         }

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .pure import distill_curve
 from .states import StateError, sample_haar_pure
 from .zoo import haar_eg2_density_d4, haar_egd_density, haar_psucc_full_density
 
@@ -60,14 +61,10 @@ def tail_measures(lam: np.ndarray, k_values) -> dict[int, np.ndarray]:
 
 def distill_success(lam: np.ndarray, m: int) -> np.ndarray:
     """Optimal distillation probability of the m-dimensional target, per sample."""
-    n_samples, d = lam.shape
-    if m > d:
+    d = lam.shape[-1]
+    if m < 1 or m > d:
         raise StateError(f"target dimension m={m} exceeds the local dimension {d}")
-    best = np.full(n_samples, np.inf)
-    for n in range(1, m + 1):
-        tail = lam[:, m - n :].sum(axis=1)
-        best = np.minimum(best, (m / n) * tail)
-    return np.clip(best, 0.0, 1.0)
+    return np.clip(distill_curve(lam, m).min(axis=-1), 0.0, 1.0)
 
 
 def _histogram_rows(name, samples, n_bins, lo, hi, analytic):

@@ -59,6 +59,26 @@ class Objective:
     def input_len(self) -> int:
         return self.trivialization.input_len
 
+    @classmethod
+    def from_fun_grad(cls, name: str, fun_grad, trivialization) -> "Objective":
+        """An objective whose value and gradient come from one joint evaluation."""
+        fun, grad = _cached(fun_grad)
+        return cls(name, fun, grad, trivialization)
+
+
+def _cached(fun_grad):
+    """Split a joint evaluator into (fun, grad) sharing one last-point memo."""
+    cache = {"theta": None, "out": None}
+
+    def lookup(theta):
+        theta = np.asarray(theta, dtype=float)
+        if cache["theta"] is None or not np.array_equal(cache["theta"], theta):
+            cache["theta"] = theta.copy()
+            cache["out"] = fun_grad(theta)
+        return cache["out"]
+
+    return (lambda t: lookup(t)[0]), (lambda t: lookup(t)[1])
+
 
 def _run_lbfgs(obj: Objective, x0, config: OptimizerConfig):
     # The solver may abandon a run on a failed line search long before the

@@ -152,17 +152,14 @@ def distill_probability(psi: PureState, m: int, bipartition=None) -> TransformRe
     lam = schmidt_spectrum(psi, bp)
     if m < 1 or m > lam.size:
         raise StateError(f"target dimension m={m} exceeds the local dimension {lam.size}")
-    best, best_n = np.inf, 1
-    for n in range(1, m + 1):
-        tail = 1.0 if n == m else max(0.0, lam[m - n :].sum())  # E^(1) = 1
-        val = (m / n) * tail
-        if val < best:
-            best, best_n = val, n
-    p = float(min(1.0, best))
-    return TransformReport(p >= 1.0 - 1e-10, p, best_n)
+    curve = distill_curve(lam, m)
+    curve[-1] = 1.0  # E^(1) = 1
+    best = int(np.argmin(curve))
+    p = float(min(1.0, curve[best]))
+    return TransformReport(p >= 1.0 - 1e-10, p, best + 1)
 
 
 def distill_curve(lam: np.ndarray, m: int) -> np.ndarray:
-    """The sequence B_n = (m/n) * tail_(m-n+1) for n = 1..m, from a spectrum."""
-    lam = np.sort(np.asarray(lam, dtype=float))[::-1]
-    return np.array([(m / n) * lam[m - n :].sum() for n in range(1, m + 1)])
+    """The sequence B_n = (m/n) * tail_(m-n+1) for n = 1..m over the last axis of spectra."""
+    lam = -np.sort(-np.asarray(lam, dtype=float), axis=-1)
+    return np.stack([(m / n) * lam[..., m - n :].sum(axis=-1) for n in range(1, m + 1)], axis=-1)

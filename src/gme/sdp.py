@@ -337,14 +337,6 @@ def reduction_min_eig(rho: DensityMatrix, party_set=(1,), k: int = 1) -> float:
 # relaxation builders
 
 
-def _fidelity_objective(m):
-    """Hermitian coefficient whose inner product with the 2m block gives Tr[Y]."""
-    a = np.zeros((2 * m, 2 * m), dtype=complex)
-    a[:m, m:] = 0.5 * np.eye(m)
-    a[m:, :m] = 0.5 * np.eye(m)
-    return a
-
-
 def _herm_basis(n):
     """Orthonormal-free Hermitian basis: E_ii, (E_ij + E_ji), i(E_ij - E_ji)."""
     out = []
@@ -371,18 +363,6 @@ def _linked_block_constraints(blocks, src, dst, fwd_adjoint):
     for e in _herm_basis(n):
         cons.append(({dst: e, src: -fwd_adjoint(e)}, 0.0))
     return cons
-
-
-def _embed_bottom_right(e, m):
-    big = np.zeros((2 * m, 2 * m), dtype=complex)
-    big[m:, m:] = e
-    return big
-
-
-def _embed_top_left(e, m):
-    big = np.zeros((2 * m, 2 * m), dtype=complex)
-    big[:m, :m] = e
-    return big
 
 
 def _pt_adjoint(dims, party_set):

@@ -9,24 +9,26 @@ map; complex cogradients follow the convention
     df = 2 Re[ sum_k conj(g_k) dz_k ],
 
 so for interleaved real parameters x with z_k = x_{2k} + i x_{2k+1} the real
-gradient is ``interleave(2 Re g, 2 Im g)``.
+gradient is ``interleave(2 Re g, 2 Im g)``.  Vector helpers act on the last
+axis, so they apply row by row to batches.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .states import StateError, total_dim
+from .states import StateError
 
 POLAR_EPS = 1e-12  # regularization of the polar projection near rank deficiency
 
 
 def check_finite(theta):
-    theta = np.asarray(theta, dtype=float).ravel()
-    if not np.all(np.isfinite(theta)):
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if not np.isfinite(theta).all():
         raise StateError("parameters must be finite")
     return theta
 
@@ -45,27 +47,16 @@ def softplus_vjp(t, g):
 
 def complex_from_reals(theta):
     """Interleaved real pairs to a complex vector, z_k = x_{2k} + i x_{2k+1}."""
-    theta = np.asarray(theta, dtype=float)
-    return theta[0::2] + 1j * theta[1::2]
+    return np.array(theta, dtype=float, order="C").view(complex)
 
 
 def reals_from_cograd(g):
-    """Real-parameter gradient from a complex cogradient."""
-    out = np.empty(2 * g.size)
-    out[0::2] = 2.0 * g.real
-    out[1::2] = 2.0 * g.imag
-    return out
+    """Real-parameter gradient from a complex cogradient: interleaved 2 Re g, 2 Im g."""
+    return 2.0 * np.ascontiguousarray(g, dtype=complex).view(float)
 
 
 def normalize(z):
-    return z / np.linalg.norm(z)
-
-
-def normalize_vjp(z, g):
-    """Cogradient through f = z / ||z||."""
-    s = np.linalg.norm(z)
-    f = z / s
-    return (g - f * np.real(np.vdot(f, g))) / s
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
@@ -201,47 +192,108 @@ class Stiefel:
         return polar(self.matrix(theta))
 
 
+# every letter but t, the term axis: one einsum axis per party
+_PARTY_AXES = "abcdefghijklmnopqrsuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+@functools.lru_cache(maxsize=None)
+def _einsum_specs(n):
+    """Subscripts over n parties: the weighted sum of the terms, and for each
+    party j, g contracted with the factors of every party but j.  The first
+    operand of each, over the term axis t, keeps t present even where no other
+    factor does (n = 1)."""
+    axes = _PARTY_AXES[:n]
+    factors = [f"...t{a}" for a in axes]
+    value = ",".join(["...t"] + factors) + "->..." + axes
+    cog = tuple(
+        ",".join(["...t"] + factors[:j] + factors[j + 1 :] + ["..." + axes]) + f"->...t{axes[j]}"
+        for j in range(n)
+    )
+    return value, cog
+
+
+class _ProductTerms:
+    """Batched engine of the product-sum families: sum_t w_t f_t1 (x) ... (x) f_tn.
+
+    Parameters have shape (..., input_len) with any leading batch axes.  Each
+    term's block holds its raw weight (weighted families only; w = softplus)
+    followed by the interleaved real pairs of every party's factor, which is
+    normalized.  Values have shape (..., prod(dims)).
+    """
+
+    weighted = False
+
+    @property
+    def terms(self) -> int:
+        return 1
+
+    @property
+    def term_len(self) -> int:
+        return int(self.weighted) + 2 * sum(self.dims)
+
+    @property
+    def input_len(self) -> int:
+        return self.terms * self.term_len
+
+    @property
+    def _starts(self) -> list[int]:
+        """Offset of each party's factor among a term's side-by-side factors."""
+        return [sum(self.dims[:j]) for j in range(len(self.dims))]
+
+    def _parts(self, theta):
+        """Term blocks (..., terms, term_len), weights (..., terms), and the party
+        factors side by side (..., terms, sum(dims)): unit factors and their norms."""
+        theta = check_finite(theta)
+        blocks = theta.reshape(theta.shape[:-1] + (self.terms, self.term_len))
+        w = softplus(blocks[..., 0]) if self.weighted else np.ones(blocks.shape[:-1])
+        x = blocks[..., int(self.weighted) :]
+        norms = np.sqrt(np.add.reduceat(x * x, [2 * a for a in self._starts], axis=-1))
+        norms = np.repeat(norms, self.dims, axis=-1)
+        return blocks, w, complex_from_reals(x) / norms, norms
+
+    def _split_parties(self, units):
+        return [units[..., a : a + d] for a, d in zip(self._starts, self.dims)]
+
+    def value(self, theta):
+        _, w, units, _ = self._parts(theta)
+        spec, _ = _einsum_specs(len(self.dims))
+        vec = np.einsum(spec, w, *self._split_parties(units))
+        return vec.reshape(vec.shape[: vec.ndim - len(self.dims)] + (-1,))
+
+    def vjp(self, theta, g):
+        """Real-parameter gradient from the cogradient g of the summed vector."""
+        blocks, w, units, norms = self._parts(theta)
+        _, specs = _einsum_specs(len(self.dims))
+        conj = units.conj()
+        factors = self._split_parties(conj)
+        g = np.asarray(g).reshape(np.shape(g)[:-1] + tuple(self.dims))
+        # party j's block of c: g contracted with the conjugate factors of every other party
+        ones = np.ones_like(w)
+        c = np.concatenate(
+            [np.einsum(spec, ones, *factors[:j], *factors[j + 1 :], g) for j, spec in enumerate(specs)],
+            axis=-1,
+        )
+        # every party's column of `overlap` is Re <term_t, g>
+        overlap = np.add.reduceat(np.real(conj * c), self._starts, axis=-1)
+        # through each party's normalization f = z / ||z||
+        cog = w[..., None] * (c - units * np.repeat(overlap, self.dims, axis=-1)) / norms
+        grad = reals_from_cograd(cog)
+        if self.weighted:
+            # d(vec) = term_t d(w_t): real derivative 2 Re <term_t, g>
+            grad = np.concatenate([softplus_vjp(blocks[..., :1], 2.0 * overlap[..., :1]), grad], axis=-1)
+        return grad.reshape(blocks.shape[:-2] + (-1,))
+
+
 @dataclass(frozen=True)
-class ProductAnsatz:
+class ProductAnsatz(_ProductTerms):
     """A fully product state: one normalized complex factor per party."""
 
     dims: tuple[int, ...]
     kind: str = "product_ansatz"
 
-    @property
-    def input_len(self) -> int:
-        return 2 * sum(self.dims)
-
-    def factors(self, theta):
-        theta = check_finite(theta)
-        out, pos = [], 0
-        for d in self.dims:
-            out.append(normalize(complex_from_reals(theta[pos : pos + 2 * d])))
-            pos += 2 * d
-        return out
-
-    def value(self, theta):
-        vec = np.ones(1, dtype=complex)
-        for f in self.factors(theta):
-            vec = np.kron(vec, f)
-        return vec
-
-    def vjp(self, theta, g):
-        """Real-parameter gradient from the cogradient g of the product vector."""
-        theta = check_finite(theta)
-        factors = self.factors(theta)
-        grad = np.zeros(theta.size)
-        pos = 0
-        for j, d in enumerate(self.dims):
-            cog_f = _contract_except(g, self.dims, factors, j)
-            raw = complex_from_reals(theta[pos : pos + 2 * d])
-            grad[pos : pos + 2 * d] = reals_from_cograd(normalize_vjp(raw, cog_f))
-            pos += 2 * d
-        return grad
-
 
 @dataclass(frozen=True)
-class BoundedRankAnsatz:
+class BoundedRankAnsatz(_ProductTerms):
     """Unnormalized sum of k-1 product terms with positive weights.
 
     For two parties this parameterizes states of Schmidt rank < k; in the
@@ -251,6 +303,7 @@ class BoundedRankAnsatz:
     dims: tuple[int, ...]
     k: int
     kind: str = "bounded_rank_ansatz"
+    weighted = True
 
     def __post_init__(self):
         if self.k < 2:
@@ -259,60 +312,6 @@ class BoundedRankAnsatz:
     @property
     def terms(self) -> int:
         return self.k - 1
-
-    @property
-    def term_len(self) -> int:
-        return 1 + 2 * sum(self.dims)
-
-    @property
-    def input_len(self) -> int:
-        return self.terms * self.term_len
-
-    def parts(self, theta):
-        """Per-term weights and normalized factors: (mu, factors, raw factor params)."""
-        theta = check_finite(theta)
-        mus, factors = [], []
-        pos = 0
-        for _ in range(self.terms):
-            mus.append(float(softplus(theta[pos])))
-            pos += 1
-            fs = []
-            for d in self.dims:
-                fs.append(normalize(complex_from_reals(theta[pos : pos + 2 * d])))
-                pos += 2 * d
-            factors.append(fs)
-        return np.array(mus), factors
-
-    def value(self, theta):
-        mus, factors = self.parts(theta)
-        vec = np.zeros(total_dim(self.dims), dtype=complex)
-        for mu, fs in zip(mus, factors):
-            term = np.ones(1, dtype=complex)
-            for f in fs:
-                term = np.kron(term, f)
-            vec += mu * term
-        return vec
-
-    def vjp(self, theta, g):
-        """Real-parameter gradient from the cogradient g of the summed vector."""
-        theta = check_finite(theta)
-        mus, factors = self.parts(theta)
-        grad = np.zeros(theta.size)
-        pos = 0
-        for i in range(self.terms):
-            fs = factors[i]
-            term = np.ones(1, dtype=complex)
-            for f in fs:
-                term = np.kron(term, f)
-            # d(vec) = t_i d(mu_i): real derivative 2 Re <t_i, g>
-            grad[pos] = softplus_vjp(theta[pos], 2.0 * np.real(np.vdot(term, g)))
-            pos += 1
-            for j, d in enumerate(self.dims):
-                cog_f = mus[i] * _contract_except(g, self.dims, fs, j)
-                raw = complex_from_reals(theta[pos : pos + 2 * d])
-                grad[pos : pos + 2 * d] = reals_from_cograd(normalize_vjp(raw, cog_f))
-                pos += 2 * d
-        return grad
 
 
 @dataclass(frozen=True)
@@ -345,19 +344,7 @@ class RoofAnsatz:
 
     def value(self, theta):
         th_x, th_inner = self.split(theta)
-        x = self.stiefel.value(th_x)
-        states = [self.inner.value(t) for t in th_inner]
-        return x, states
-
-
-def _contract_except(g, dims, factors, j):
-    """Contract conj(factors) into g on every party except j; returns a d_j vector."""
-    v = np.asarray(g).reshape(tuple(dims))
-    for axis in reversed(range(len(dims))):
-        if axis == j:
-            continue
-        v = np.tensordot(v, np.conj(factors[axis]), axes=([axis], [0]))
-    return v
+        return self.stiefel.value(th_x), self.inner.value(th_inner)
 
 
 def trivialize(t, theta):

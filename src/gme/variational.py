@@ -23,6 +23,7 @@ from .trivializations import (
     BoundedRankAnsatz,
     ProductAnsatz,
     RoofAnsatz,
+    Sphere,
     complex_from_reals,
     polar,
     polar_vjp,
@@ -55,29 +56,10 @@ class _Flat:
 def make_quadratic(center) -> Objective:
     c = np.asarray(center, dtype=float).ravel()
 
-    def fun(theta):
-        return float(np.sum((theta - c) ** 2))
+    def fun_grad(theta):
+        return float(np.sum((theta - c) ** 2)), 2.0 * (theta - c)
 
-    def grad(theta):
-        return 2.0 * (np.asarray(theta) - c)
-
-    return Objective("quadratic", fun, grad, _Flat(c.size))
-
-
-@dataclass(frozen=True)
-class _SphereComplex:
-    """Complex unit vector from interleaved real pairs."""
-
-    d: int
-    kind: str = "sphere"
-
-    @property
-    def input_len(self) -> int:
-        return 2 * self.d
-
-    def value(self, theta):
-        z = complex_from_reals(np.asarray(theta, dtype=float))
-        return z / np.linalg.norm(z)
+    return Objective.from_fun_grad("quadratic", fun_grad, _Flat(c.size))
 
 
 def make_rayleigh(h) -> Objective:
@@ -85,19 +67,14 @@ def make_rayleigh(h) -> Objective:
     h = np.asarray(h, dtype=complex)
     d = h.shape[0]
 
-    def fun(theta):
+    def fun_grad(theta):
         z = complex_from_reals(theta)
+        h_z = h @ z
         n = float(np.real(np.vdot(z, z)))
-        return float(np.real(np.vdot(z, h @ z)) / n)
+        f = float(np.real(np.vdot(z, h_z)) / n)
+        return f, reals_from_cograd((h_z - f * z) / n)
 
-    def grad(theta):
-        z = complex_from_reals(theta)
-        n = float(np.real(np.vdot(z, z)))
-        f = float(np.real(np.vdot(z, h @ z)) / n)
-        g_z = (h @ z - f * z) / n
-        return reals_from_cograd(g_z)
-
-    return Objective("rayleigh", fun, grad, _SphereComplex(d))
+    return Objective.from_fun_grad("rayleigh", fun_grad, Sphere(2 * d))
 
 
 def make_pure_overlap(psi: PureState, k: int) -> Objective:
@@ -105,20 +82,14 @@ def make_pure_overlap(psi: PureState, k: int) -> Objective:
     ansatz = BoundedRankAnsatz(psi.dims, k)
     target = psi.amplitudes
 
-    def fun(theta):
-        phi = ansatz.value(theta)
-        c = np.vdot(phi, target)
-        n = float(np.real(np.vdot(phi, phi)))
-        return float(-(abs(c) ** 2) / n)
-
-    def grad(theta):
+    def fun_grad(theta):
         phi = ansatz.value(theta)
         c = np.vdot(phi, target)
         n = float(np.real(np.vdot(phi, phi)))
         g_phi = (abs(c) ** 2 / n**2) * phi - (np.conj(c) / n) * target
-        return ansatz.vjp(theta, g_phi)
+        return float(-(abs(c) ** 2) / n), ansatz.vjp(theta, g_phi)
 
-    return Objective("pure_overlap", fun, grad, ansatz)
+    return Objective.from_fun_grad("pure_overlap", fun_grad, ansatz)
 
 
 def make_subspace_bounded_rank(subspace: Subspace, k: int) -> Objective:
@@ -128,19 +99,14 @@ def make_subspace_bounded_rank(subspace: Subspace, k: int) -> Objective:
     ansatz = BoundedRankAnsatz(subspace.dims, k)
     proj = subspace.complement.matrix
 
-    def fun(theta):
+    def fun_grad(theta):
         phi = ansatz.value(theta)
+        p_phi = proj @ phi
         n = float(np.real(np.vdot(phi, phi)))
-        return float(np.real(np.vdot(phi, proj @ phi)) / n)
+        f = float(np.real(np.vdot(phi, p_phi)) / n)
+        return f, ansatz.vjp(theta, (p_phi - f * phi) / n)
 
-    def grad(theta):
-        phi = ansatz.value(theta)
-        n = float(np.real(np.vdot(phi, phi)))
-        f = float(np.real(np.vdot(phi, proj @ phi)) / n)
-        g_phi = (proj @ phi - f * phi) / n
-        return ansatz.vjp(theta, g_phi)
-
-    return Objective("subspace_bounded_rank", fun, grad, ansatz)
+    return Objective.from_fun_grad("subspace_bounded_rank", fun_grad, ansatz)
 
 
 def make_subspace_product(subspace: Subspace) -> Objective:
@@ -148,15 +114,12 @@ def make_subspace_product(subspace: Subspace) -> Objective:
     ansatz = ProductAnsatz(subspace.dims)
     proj = subspace.complement.matrix
 
-    def fun(theta):
+    def fun_grad(theta):
         phi = ansatz.value(theta)
-        return float(np.real(np.vdot(phi, proj @ phi)))
+        p_phi = proj @ phi
+        return float(np.real(np.vdot(phi, p_phi))), ansatz.vjp(theta, p_phi)
 
-    def grad(theta):
-        phi = ansatz.value(theta)
-        return ansatz.vjp(theta, proj @ phi)
-
-    return Objective("subspace_product", fun, grad, ansatz)
+    return Objective.from_fun_grad("subspace_product", fun_grad, ansatz)
 
 
 def _rho_eigendata(rho: DensityMatrix):
@@ -167,143 +130,33 @@ def _rho_eigendata(rho: DensityMatrix):
     return lam_tilde, int(vals.size)
 
 
-def _cached(fun_grad):
-    """Split a joint evaluator into (fun, grad) sharing one cached evaluation."""
-    cache = {"theta": None, "out": None}
+def make_mixed_roof(rho: DensityMatrix, inner, n_entries: int) -> Objective:
+    """Joint Stiefel-decomposition / closest-state objective; E = 1 + min.
 
-    def lookup(theta):
-        theta = np.asarray(theta, dtype=float)
-        if cache["theta"] is None or not np.array_equal(cache["theta"], theta):
-            cache["theta"] = theta.copy()
-            cache["out"] = fun_grad(theta)
-        return cache["out"]
-
-    return (lambda t: lookup(t)[0]), (lambda t: lookup(t)[1])
-
-
-def _normalize_rows_vjp(raw, unit, norms, cog):
-    """Vectorized normalization cogradient over the last axis."""
-    inner = np.real(np.sum(np.conj(unit) * cog, axis=-1, keepdims=True))
-    return (cog - unit * inner) / norms[..., None]
-
-
-def _interleave(cog):
-    out = np.empty(cog.shape[:-1] + (2 * cog.shape[-1],))
-    out[..., 0::2] = 2.0 * cog.real
-    out[..., 1::2] = 2.0 * cog.imag
-    return out
-
-
-def _make_mixed_roof_bipartite(rho: DensityMatrix, k: int, n_entries: int) -> Objective:
-    """Vectorized joint objective for bipartite convex roofs."""
-    from scipy.special import expit
-
+    Every decomposition entry gets its own closest state from ``inner``; the
+    entries are evaluated as one batch.
+    """
     lam_tilde, rank = _rho_eigendata(rho)
     if n_entries < rank:
         raise StateError(f"n_entries={n_entries} below rank {rank}")
-    d_a, d_b = rho.dims
-    inner = BoundedRankAnsatz(rho.dims, k)
     ansatz = RoofAnsatz(n_entries, rank, inner)
     stf = ansatz.stiefel
-    terms = k - 1
 
     def fun_grad(theta):
         th_x, th_inner = ansatz.split(theta)
-        a_mat = stf.matrix(th_x)
-        x = polar(a_mat)
-        psit3 = (lam_tilde @ x.T).T.reshape(n_entries, d_a, d_b)
-
-        r3 = th_inner.reshape(n_entries, terms, 1 + 2 * (d_a + d_b))
-        mu_raw = r3[:, :, 0]
-        a_raw = r3[:, :, 1 : 1 + 2 * d_a]
-        b_raw = r3[:, :, 1 + 2 * d_a :]
-        az = a_raw[..., 0::2] + 1j * a_raw[..., 1::2]
-        bz = b_raw[..., 0::2] + 1j * b_raw[..., 1::2]
-        na = np.linalg.norm(az, axis=-1)
-        nb = np.linalg.norm(bz, axis=-1)
-        ah = az / na[..., None]
-        bh = bz / nb[..., None]
-        mu = np.logaddexp(0.0, mu_raw)
-
-        phi = np.einsum("nt,nta,ntb->nab", mu, ah, bh)
-        c = np.einsum("nab,nab->n", phi.conj(), psit3)
-        nn = np.einsum("nab,nab->n", phi.conj(), phi).real
-        val = float(-np.sum(np.abs(c) ** 2 / nn))
-
-        w1 = (np.abs(c) ** 2 / nn**2)[:, None, None]
-        w2 = (np.conj(c) / nn)[:, None, None]
-        g_phi = w1 * phi - w2 * psit3
-        g_psit3 = -(c / nn)[:, None, None] * phi
-        g_x = (lam_tilde.conj().T @ g_psit3.reshape(n_entries, d_a * d_b).T).T
-        g_a_mat = polar_vjp(a_mat, g_x)
-
-        g_mu = 2.0 * np.einsum("nta,ntb,nab->nt", ah.conj(), bh.conj(), g_phi).real
-        g_mu *= expit(mu_raw)
-        g_ah = mu[..., None] * np.einsum("ntb,nab->nta", bh.conj(), g_phi)
-        g_bh = mu[..., None] * np.einsum("nta,nab->ntb", ah.conj(), g_phi)
-        g_az = _normalize_rows_vjp(az, ah, na, g_ah)
-        g_bz = _normalize_rows_vjp(bz, bh, nb, g_bh)
-
-        g_inner = np.empty_like(r3)
-        g_inner[:, :, 0] = g_mu
-        g_inner[:, :, 1 : 1 + 2 * d_a] = _interleave(g_az)
-        g_inner[:, :, 1 + 2 * d_a :] = _interleave(g_bz)
-
-        out = np.empty(theta.size)
-        out[: stf.input_len] = reals_from_cograd(g_a_mat.ravel())
-        out[stf.input_len :] = g_inner.ravel()
-        return val, out
-
-    fun, grad = _cached(fun_grad)
-    return Objective("mixed_roof", fun, grad, ansatz)
-
-
-def make_mixed_roof(rho: DensityMatrix, inner, n_entries: int) -> Objective:
-    """Joint Stiefel-decomposition / closest-state objective; E = 1 + min."""
-    if isinstance(inner, BoundedRankAnsatz) and len(rho.dims) == 2:
-        return _make_mixed_roof_bipartite(rho, inner.k, n_entries)
-    lam_tilde, rank = _rho_eigendata(rho)
-    if n_entries < rank:
-        raise StateError(f"n_entries={n_entries} below rank {rank}")
-    ansatz = RoofAnsatz(n_entries, rank, inner)
-    stf = ansatz.stiefel
-
-    def _parts(theta):
-        th_x, th_inner = ansatz.split(theta)
         a = stf.matrix(th_x)
-        x = polar(a)
-        psit = lam_tilde @ x.T  # column i: sum_j X_ij |lam_j~>
-        phis = [inner.value(t) for t in th_inner]
-        return th_x, th_inner, a, x, psit, phis
-
-    def fun(theta):
-        _, _, _, _, psit, phis = _parts(theta)
-        total = 0.0
-        for i, phi in enumerate(phis):
-            c = np.vdot(phi, psit[:, i])
-            n = float(np.real(np.vdot(phi, phi)))
-            total -= abs(c) ** 2 / n
-        return float(total)
-
-    def grad(theta):
-        th_x, th_inner, a, x, psit, phis = _parts(theta)
-        g_psit = np.zeros_like(psit)
-        grads_inner = []
-        for i, phi in enumerate(phis):
-            psi_i = psit[:, i]
-            c = np.vdot(phi, psi_i)
-            n = float(np.real(np.vdot(phi, phi)))
-            g_phi = (abs(c) ** 2 / n**2) * phi - (np.conj(c) / n) * psi_i
-            grads_inner.append(inner.vjp(th_inner[i], g_phi))
-            g_psit[:, i] = -(c / n) * phi
-        g_x = (lam_tilde.conj().T @ g_psit).T
+        psit = polar(a) @ lam_tilde.T  # row i: sum_j X_ij |lam_j~>
+        phi = inner.value(th_inner)
+        c = np.sum(phi.conj() * psit, axis=-1)
+        n = np.sum(phi.conj() * phi, axis=-1).real
+        ratio = np.abs(c) ** 2 / n
+        g_phi = (ratio / n)[:, None] * phi - (np.conj(c) / n)[:, None] * psit
+        g_x = -((c / n)[:, None] * phi) @ lam_tilde.conj()
         g_a = polar_vjp(a, g_x)
-        out = np.empty(theta.size)
-        out[: stf.input_len] = reals_from_cograd(g_a.ravel())
-        out[stf.input_len :] = np.concatenate(grads_inner)
-        return out
+        grad = np.concatenate([reals_from_cograd(g_a.ravel()), inner.vjp(th_inner, g_phi).ravel()])
+        return float(-np.sum(ratio)), grad
 
-    return Objective("mixed_roof", fun, grad, ansatz)
+    return Objective.from_fun_grad("mixed_roof", fun_grad, ansatz)
 
 
 _REGISTRY = (

@@ -1,10 +1,12 @@
 """End-to-end command-line behavior: records, exit codes, determinism."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 
+from gme import sdp
 from gme.cli import main
 from gme.serialize import save_state
 from gme.states import PureState
@@ -60,6 +62,19 @@ def test_bound_subspace(capsys):
     rec = _record(out)
     assert abs(rec["value"] - 0.25) < 1e-3
     assert rec["certifying"] is True
+
+
+def test_bound_reports_solver_status(capsys, monkeypatch):
+    """`converged` follows the status of the SDP solve."""
+    args = ("bound", "--state", "isotropic:d=2,F=0.9", "--k", "2")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and _record(out)["converged"] is True
+    solve = sdp.solve_sdp
+    monkeypatch.setattr(
+        sdp, "solve_sdp", lambda *a, **kw: dataclasses.replace(solve(*a, **kw), status="max_iterations")
+    )
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0 and _record(out)["converged"] is False
 
 
 def test_criteria_with_witness(capsys):

@@ -88,6 +88,8 @@ def test_mixed_roof_gradients():
     upb = upb_shifts_state()
     obj_multi = make_mixed_roof(upb, ProductAnsatz(upb.dims), 5)
     check_points(obj_multi, 10, seed=8)
+    obj_multi3 = make_mixed_roof(upb, BoundedRankAnsatz(upb.dims, 3), 5)
+    check_points(obj_multi3, 5, seed=9)
 
 
 def test_unregistered_objective_rejected():

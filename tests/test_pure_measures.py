@@ -17,6 +17,7 @@ from gme.pure import (
     nielsen_transformable,
     vidal_probability,
 )
+from gme.haar import distill_success, haar_sample_spectra
 from gme.states import PureState, StateError, schmidt_spectrum, tensor_product
 from gme.trivializations import complex_from_reals, polar
 from gme.zoo import bell_state, max_entangled, werner_state
@@ -226,6 +227,27 @@ def test_distill_curve_single_turning_point(rng):
                 assert y >= x - 1e-12
             elif y > x + 1e-12:
                 rising = True
+
+
+def test_distill_matches_tail_sum_loop(rng):
+    """Both distillation callers equal the per-n tail-sum loop bit for bit."""
+    lam = haar_sample_spectra((4, 4), 200, 0)
+    lam = np.vstack([lam, [[0.25] * 4, [1.0, 0, 0, 0], [0.4, 0.4, 0.1, 0.1]]])
+    for m in range(1, 5):
+        best = np.full(lam.shape[0], np.inf)
+        for n in range(1, m + 1):
+            best = np.minimum(best, (m / n) * lam[:, m - n :].sum(axis=1))
+        np.testing.assert_array_equal(distill_success(lam, m), np.clip(best, 0.0, 1.0))
+    for state in [bell_state(), max_entangled(3)] + [random_pure((4, 4), rng) for _ in range(50)]:
+        spec = schmidt_spectrum(state, (0,))
+        for m in range(1, spec.size + 1):
+            best, best_n = np.inf, 1
+            for n in range(1, m + 1):
+                val = (m / n) * (1.0 if n == m else max(0.0, spec[m - n :].sum()))  # E^(1) = 1
+                if val < best:
+                    best, best_n = val, n
+            rep = distill_probability(state, m)
+            assert (rep.optimal_probability, rep.binding_index) == (float(min(1.0, best)), best_n)
 
 
 def test_local_unitary_invariance(rng):

@@ -136,3 +136,47 @@ def test_roof_requires_enough_entries():
 def test_complex_from_reals_interleaving():
     z = complex_from_reals(np.array([1.0, 2.0, 3.0, 4.0]))
     np.testing.assert_allclose(z, [1 + 2j, 3 + 4j])
+
+
+def _kron_sum_reference(dims, weights, factor_reals):
+    """sum_t w_t kron(f_t1, ..., f_tn) with unit factors, one np.kron at a time."""
+    vec = np.zeros(int(np.prod(dims)), dtype=complex)
+    for w, reals in zip(weights, factor_reals):
+        term, pos = np.ones(1, dtype=complex), 0
+        for d in dims:
+            f = complex_from_reals(reals[pos : pos + 2 * d])
+            term = np.kron(term, f / np.linalg.norm(f))
+            pos += 2 * d
+        vec += w * term
+    return vec
+
+
+def _reference_value(ansatz, theta):
+    if isinstance(ansatz, ProductAnsatz):
+        return _kron_sum_reference(ansatz.dims, [1.0], [theta])
+    blocks = theta.reshape(ansatz.k - 1, -1)
+    return _kron_sum_reference(ansatz.dims, np.logaddexp(0.0, blocks[:, 0]), blocks[:, 1:])
+
+
+@pytest.mark.parametrize("ansatz", [BoundedRankAnsatz((2, 3, 4), 3), ProductAnsatz((2, 3, 4))])
+def test_batched_ansatz_matches_kron_reference(ansatz):
+    """Value against a kron sum, VJP against finite differences of 2 Re<g, value>."""
+    rng = np.random.default_rng(21)
+    n = int(np.prod(ansatz.dims))
+    theta = rng.standard_normal((5, ansatz.input_len))
+    g = rng.standard_normal((5, n)) + 1j * rng.standard_normal((5, n))
+    values, grads = ansatz.value(theta), ansatz.vjp(theta, g)
+    assert values.shape == (5, n) and grads.shape == theta.shape
+    h = 1e-6
+    for i in range(5):
+        np.testing.assert_allclose(ansatz.value(theta[i]), _reference_value(ansatz, theta[i]), atol=1e-14)
+        np.testing.assert_allclose(values[i], ansatz.value(theta[i]), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(grads[i], ansatz.vjp(theta[i], g[i]), rtol=0, atol=1e-13)
+        fd = np.empty(ansatz.input_len)
+        for j in range(ansatz.input_len):
+            step = np.zeros(ansatz.input_len)
+            step[j] = h
+            up = 2.0 * np.real(np.vdot(g[i], _reference_value(ansatz, theta[i] + step)))
+            down = 2.0 * np.real(np.vdot(g[i], _reference_value(ansatz, theta[i] - step)))
+            fd[j] = (up - down) / (2 * h)
+        np.testing.assert_allclose(grads[i], fd, rtol=0, atol=1e-7 * np.linalg.norm(fd))

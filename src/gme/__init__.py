@@ -21,6 +21,7 @@ from .pure import (
     vidal_probability,
 )
 from .sdp import (
+    Links,
     SdpProblem,
     SdpSolution,
     Witness,

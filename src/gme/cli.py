@@ -204,16 +204,16 @@ def cmd_mixed(args):
 def cmd_bound(args):
     obj = _load_any(args.state if args.state else args.subspace)
     try:
+        relaxation = sdp.resolve_relaxation(args.k, args.relaxation)
         if isinstance(obj, Subspace):
-            if args.relaxation in ("auto", "ppt") and args.k == 2 or len(obj.dims) > 2:
+            # a multipartite subspace has only the PPT bound, which is k = 2;
+            # the reduction bound refuses it as non-bipartite
+            if relaxation == "ppt":
                 value, sol = sdp.lower_bound_subspace_ppt(obj, full_output=True)
-                method = "sdp-ppt"
             else:
                 value, sol = sdp.lower_bound_subspace_reduction(obj, args.k, full_output=True)
-                method = "sdp-reduction"
         elif isinstance(obj, DensityMatrix):
-            value, sol = sdp.lower_bound_mixed(obj, args.k, relaxation=args.relaxation, full_output=True)
-            method = f"sdp-{args.relaxation}"
+            value, sol = sdp.lower_bound_mixed(obj, args.k, relaxation=relaxation, full_output=True)
         else:
             raise CliError("subcommand 'bound' needs a mixed state or subspace", EXIT_USAGE)
     except StateError as exc:
@@ -224,7 +224,7 @@ def cmd_bound(args):
         {
             "value": value,
             "k": args.k,
-            "method": method,
+            "method": f"sdp-{relaxation}",
             "converged": sol.status == "optimal",
             "seed": args.seed,
             "certifying": bool(value > sdp.NONCERTIFYING),

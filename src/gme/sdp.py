@@ -1,22 +1,41 @@
 """Certified lower bounds: a first-order conic solver and relaxation builders.
 
-The solver handles block-diagonal complex Hermitian semidefinite programs in
-the standard form
+The solver handles block-diagonal Hermitian semidefinite programs
 
-    min/max  sum_b Tr[A_b X_b]
-    s.t.     sum_b Tr[F_ib X_b] = c_i   (i = 1..m),   X_b >= 0,
+    min/max  sum_b Tr[C_b X_b]   s.t.  X_b >= 0  and affine constraints
 
-by operator splitting: alternating projection onto the affine constraint set
-(through one cached factorization) and onto the PSD cones (by eigenvalue
-clipping), with over-relaxation.  Hermitian blocks are vectorized into real
-coordinates that preserve trace inner products, so complex data needs no
-realification.
+whose affine constraints come in three kinds, each stated in its own form:
+
+* **links** ``X_dst = L_j(S)``: whole blocks held at linear images of one
+  diagonal sub-block ``S`` of a source block.  Each map is given as the pair of
+  callables ``L_j`` and ``L_j*``, together with the closed-form inverse of
+  ``I + sum_j L_j* L_j`` on ``S`` (see ``Links``);
+* **fixed sub-blocks** ``X_b[i:i+n, i:i+n] = F``, a coordinate overwrite;
+* a few **scalar constraints** ``sum_b Tr[F_ib X_b] = c_i``.
+
+It runs over-relaxed operator splitting: alternating projection onto the
+affine set and onto the PSD cones (by eigenvalue clipping).  No link or fixed
+sub-block is ever listed out as constraint rows.  With ``P_S`` the projection
+onto the links and fixed sub-blocks (an overwrite plus one closed-form solve
+on ``S``) and ``A x = b`` the scalar constraints, the affine projection is
+
+    x = P_S v - P_S A^T G^-1 (A P_S v - b),    G = A P_S A^T,
+
+where the small Gram matrix ``G`` is factored once.  Memory grows with the
+number of block entries, and an iteration costs a few eigendecompositions.
+
+Hermitian blocks are vectorized into real coordinates that preserve trace
+inner products, so complex data needs no realification.  When every data
+matrix is real the blocks are real symmetric and keep n(n+1)/2 coordinates
+instead of n^2.  Link maps must send real matrices to real ones, as partial
+transposes and the reduction map do.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 from scipy import linalg as sla
@@ -38,16 +57,36 @@ HERM_ATOL = 1e-10
 OVER_RELAXATION = 1.6
 GAP_TOL = 1e-6
 NONCERTIFYING = 1e-6   # bounds below this are reported verbatim but certify nothing
+INVERSE_RTOL = 1e-9    # build-time check of a closed-form link inverse
+
+
+@dataclass(frozen=True)
+class Links:
+    """Blocks held at linear images of one diagonal sub-block of a source block.
+
+    Imposes ``X_dst = forward(S)`` for every ``(dst, forward, adjoint)`` in
+    ``images``, where ``S = X_block[start:start+side, start:start+side]``.
+    ``inverse`` applies ``(I + sum_j adjoint_j(forward_j(.)))^-1`` to a
+    side x side Hermitian matrix.
+    """
+
+    block: int
+    start: int
+    side: int
+    images: tuple
+    inverse: Callable
 
 
 @dataclass(frozen=True)
 class SdpProblem:
-    """Block-PSD conic program in standard form."""
+    """Block-PSD conic program; the module docstring describes the constraint kinds."""
 
     objective: list          # Hermitian cost per block (None for zero)
     blocks: list             # block side lengths
-    constraints: list        # (per-block coefficient dict {index: Hermitian}, rhs)
+    constraints: list        # scalar constraints: (per-block coefficient dict {index: Hermitian}, rhs)
     sense: str = "min"
+    fixed: tuple = ()        # fixed sub-blocks: (block, start, Hermitian value)
+    links: Links | None = None
 
     def __post_init__(self):
         if self.sense not in ("min", "max"):
@@ -59,10 +98,33 @@ class SdpProblem:
         for coeffs, _ in self.constraints:
             for b, mat in coeffs.items():
                 _check_hermitian(mat, self.blocks[b])
+        if not self.constraints and not self.fixed and self.links is None:
+            raise StateError("problem needs at least one affine constraint")
+        claimed = [set() for _ in self.blocks]
+
+        def claim(b, start, side):
+            rows = set(range(start, start + side))
+            if start < 0 or start + side > self.blocks[b] or claimed[b] & rows:
+                raise StateError("fixed sub-blocks and links need disjoint diagonal sub-blocks")
+            claimed[b] |= rows
+
+        for b, start, value in self.fixed:
+            side = np.shape(value)[0]
+            claim(b, start, side)
+            _check_hermitian(value, side)
+        if self.links is not None:
+            claim(self.links.block, self.links.start, self.links.side)
+            for dst, _, _ in self.links.images:
+                claim(dst, 0, self.blocks[dst])
+            _check_links(self.links, self.blocks)
 
 
 @dataclass(frozen=True)
 class SdpSolution:
+    """Solver output.  ``dual_multipliers`` holds the multipliers y_i of the
+    scalar ``constraints`` as stated, so that sign * (C - sum_i y_i F_i) is PSD
+    up to the terms of the links and fixed sub-blocks (sign = -1 for 'max')."""
+
     primal_value: float
     dual_value: float
     block_values: list = field(repr=False)
@@ -80,6 +142,22 @@ def _check_hermitian(mat, side):
         raise StateError(f"coefficient shape {mat.shape} does not match block side {side}")
     if np.linalg.norm(mat - mat.conj().T) > HERM_ATOL:
         raise StateError("non-Hermitian problem data")
+
+
+def _check_links(links, blocks):
+    """Check image shapes and the closed-form inverse: M(M^-1 X) = X on a random Hermitian X."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((links.side, links.side)) + 1j * rng.standard_normal((links.side, links.side))
+    x = x + x.conj().T
+    y = links.inverse(x)
+    m_y = y
+    for dst, forward, adjoint in links.images:
+        image = forward(y)
+        if image.shape != (blocks[dst], blocks[dst]):
+            raise StateError(f"link image shape {image.shape} does not match block side {blocks[dst]}")
+        m_y = m_y + adjoint(image)
+    if np.linalg.norm(m_y - x) > INVERSE_RTOL * np.linalg.norm(x):
+        raise StateError("links.inverse is not the inverse of I + sum_j L_j* L_j")
 
 
 class _BlockVec:
@@ -153,6 +231,46 @@ class _BlockVec:
         return out
 
 
+def _structure_projection(problem: SdpProblem, vec: _BlockVec):
+    """P_S: the projection onto the links and fixed sub-blocks, as project(v, shift).
+
+    With ``shift=False`` the fixed sub-blocks are set to zero instead of their
+    values, which projects onto the linear subspace parallel to the set.
+    """
+    fixed = [
+        (b, slice(start, start + np.shape(value)[0]), np.asarray(value).real if vec.real else np.asarray(value))
+        for b, start, value in problem.fixed
+    ]
+    links = problem.links
+    touched = {b for b, _, _ in fixed}
+    if links is not None:
+        src = slice(links.start, links.start + links.side)
+        touched |= {links.block} | {dst for dst, _, _ in links.images}
+
+    def project(v, shift=True):
+        mats = {b: vec.smat_block(b, v[vec.offsets[b] : vec.offsets[b + 1]]) for b in touched}
+        for b, sub, value in fixed:
+            mats[b][sub, sub] = value if shift else 0.0
+        if links is not None:
+            # argmin over S of |S - V_S|^2 + sum_j |L_j(S) - V_j|^2
+            s = links.inverse(
+                mats[links.block][src, src] + sum(adjoint(mats[dst]) for dst, _, adjoint in links.images)
+            )
+            mats[links.block][src, src] = s
+            for dst, forward, _ in links.images:
+                mats[dst] = forward(s)
+        out = v.copy()
+        for b, mat in mats.items():
+            out[vec.offsets[b] : vec.offsets[b + 1]] = vec.svec_block(b, mat)
+        return out
+
+    return project
+
+
+def _is_real(mat):
+    return mat is None or np.linalg.norm(np.asarray(mat).imag) < 1e-12
+
+
 def solve_sdp(
     problem: SdpProblem,
     tolerance: float = 1e-7,
@@ -166,48 +284,45 @@ def solve_sdp(
     certificate up to the reported dual residual: the PSD dual slack is exact
     by construction, only the dual equality holds approximately.
     """
-    all_real = all(
-        obj is None or np.linalg.norm(np.asarray(obj).imag) < 1e-12
-        for obj in problem.objective
-    ) and all(
-        np.linalg.norm(np.asarray(mat).imag) < 1e-12
-        for coeffs, _ in problem.constraints
-        for mat in coeffs.values()
-    )
-    vec = _BlockVec(problem.blocks, real=all_real)
+    data = list(problem.objective) + [value for _, _, value in problem.fixed]
+    data += [mat for coeffs, _ in problem.constraints for mat in coeffs.values()]
+    vec = _BlockVec(problem.blocks, real=all(_is_real(mat) for mat in data))
     sign = 1.0 if problem.sense == "min" else -1.0
     c = sign * vec.svec(problem.objective)
     c_scale = max(np.linalg.norm(c), 1e-12)
     c = c / c_scale
+    project = _structure_projection(problem, vec)
 
     m = len(problem.constraints)
-    if m == 0:
-        raise StateError("problem needs at least one affine constraint")
     a_rows = np.zeros((m, vec.total))
     b_rhs = np.zeros(m)
+    row_scale = np.ones(m)
     for i, (coeffs, rhs) in enumerate(problem.constraints):
-        row = np.zeros(vec.total)
         for bidx, mat in coeffs.items():
-            row[vec.offsets[bidx] : vec.offsets[bidx + 1]] = vec.svec_block(
+            a_rows[i, vec.offsets[bidx] : vec.offsets[bidx + 1]] = vec.svec_block(
                 bidx, np.asarray(mat, dtype=complex)
             )
-        scale = np.linalg.norm(row)
-        if scale < 1e-14:
+        row_scale[i] = np.linalg.norm(a_rows[i])
+        if row_scale[i] < 1e-14:
             raise StateError(f"constraint {i} has zero coefficients")
-        a_rows[i] = row / scale
-        b_rhs[i] = rhs / scale
+        a_rows[i] /= row_scale[i]
+        b_rhs[i] = rhs / row_scale[i]
 
-    gram = a_rows @ a_rows.T
-    gram[np.diag_indices(m)] += 1e-12
-    cho = sla.cho_factor(gram, check_finite=False)
-
-    def solve_gram(w):
-        return sla.cho_solve(cho, w, check_finite=False)
+    # the scalar constraints restricted to the structure: rows P_S a_i, Gram A P_S A^T
+    pa_rows = np.array([project(row, shift=False) for row in a_rows]).reshape(m, vec.total)
+    if m:
+        gram = pa_rows @ pa_rows.T
+        gram[np.diag_indices(m)] += 1e-12
+        cho = sla.cho_factor(gram, check_finite=False)
 
     def proj_affine(v):
-        return v - a_rows.T @ solve_gram(a_rows @ v - b_rhs)
+        """The affine projection of v and the Gram solve G^-1 (A P_S v - b)."""
+        p = project(v)
+        w = a_rows @ p - b_rhs
+        lam = sla.cho_solve(cho, w, check_finite=False) if m else w
+        return p - pa_rows.T @ lam, lam
 
-    x0 = proj_affine(np.zeros(vec.total))
+    x0, _ = proj_affine(np.zeros(vec.total))
     if np.linalg.norm(a_rows @ x0 - b_rhs) > 1e-7 * (1.0 + np.linalg.norm(b_rhs)):
         return SdpSolution(
             math.nan, math.nan, vec.smat(x0), np.zeros(m), math.inf, math.inf, 0,
@@ -225,11 +340,10 @@ def solve_sdp(
     it = 0
     check_every = 25
     prim_res = dual_res = math.inf
-    y = np.zeros(m)
 
     for it in range(1, max_iterations + 1):
         v = z - u - c / sigma
-        x = proj_affine(v)
+        x, _ = proj_affine(v)
         x_relaxed = alpha * x + (1.0 - alpha) * z
         z_new = vec.project_psd(x_relaxed + u)
         u = u + x_relaxed - z_new
@@ -237,14 +351,14 @@ def solve_sdp(
         z = z_new
 
         if it % check_every == 0 or it == max_iterations:
-            nu = sigma * solve_gram(a_rows @ v - b_rhs)
-            y = -nu
+            # A* y of every affine constraint is sigma (x - v); with A x = b, b^T y = <x, A* y>
+            a_adj_y = sigma * (x - v)
             s = -sigma * u
-            dual_eq = np.linalg.norm(c - a_rows.T @ y - s)
+            dual_eq = np.linalg.norm(c - a_adj_y - s)
             prim_res = np.linalg.norm(x - z) / (1.0 + max(np.linalg.norm(x), np.linalg.norm(z)))
             dual_res = dual_eq / c_norm
             p_obj = float(c @ x)
-            d_obj = float(b_rhs @ y)
+            d_obj = float(x @ a_adj_y)
             gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
             if history is not None:
                 history.append(
@@ -275,19 +389,18 @@ def solve_sdp(
 
     # consistent final KKT snapshot
     v = z - u - c / sigma
-    x = proj_affine(v)
-    nu = sigma * solve_gram(a_rows @ v - b_rhs)
-    y = -nu
+    x, lam = proj_affine(v)
+    a_adj_y = sigma * (x - v)
     s = -sigma * u
     prim_res = np.linalg.norm(x - z) / (1.0 + max(np.linalg.norm(x), np.linalg.norm(z)))
-    dual_res = np.linalg.norm(c - a_rows.T @ y - s) / c_norm
+    dual_res = np.linalg.norm(c - a_adj_y - s) / c_norm
     p_obj = float(c @ x)
-    d_obj = float(b_rhs @ y)
+    d_obj = float(x @ a_adj_y)
     return SdpSolution(
         primal_value=sign * p_obj * c_scale,
         dual_value=sign * d_obj * c_scale,
         block_values=vec.smat(z),
-        dual_multipliers=y * c_scale,
+        dual_multipliers=-sign * c_scale * sigma * lam / row_scale,
         primal_residual=prim_res,
         dual_residual=dual_res,
         iterations=it,
@@ -337,40 +450,33 @@ def reduction_min_eig(rho: DensityMatrix, party_set=(1,), k: int = 1) -> float:
 # relaxation builders
 
 
-def _herm_basis(n):
-    """Orthonormal-free Hermitian basis: E_ii, (E_ij + E_ji), i(E_ij - E_ji)."""
-    out = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=complex)
-        e[i, i] = 1.0
-        out.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = e[j, i] = 1.0
-            out.append(e)
-            e = np.zeros((n, n), dtype=complex)
-            e[i, j] = 1j
-            e[j, i] = -1j
-            out.append(e)
-    return out
+def _transpose_links(dims, parties, start=0) -> Links:
+    """Blocks 1..n held at the partial transposes T_j of the sub-block at `start` of block 0.
+
+    A partial transpose permutes matrix entries, so T_j* T_j = I and
+    (I + sum_j T_j* T_j)^-1 = 1 / (1 + n).
+    """
+    maps = [lambda x, p=p: _partial_transpose_arr(x, dims, p) for p in parties]
+    images = tuple((1 + j, pt, pt) for j, pt in enumerate(maps))
+    return Links(0, start, total_dim(dims), images, lambda x: x / (1.0 + len(maps)))
 
 
-def _linked_block_constraints(blocks, src, dst, fwd_adjoint):
-    """Constraints encoding  X_dst = L(X_src)  via Tr[E X_dst] = Tr[L*(E) X_src]."""
-    n = blocks[dst]
-    cons = []
-    for e in _herm_basis(n):
-        cons.append(({dst: e, src: -fwd_adjoint(e)}, 0.0))
-    return cons
+def _reduction_links(dims, p, start=0) -> Links:
+    """Block 1 held at R(S) = Tr_B S (x) I - p S, for the sub-block S at `start` of block 0.
 
+    R = d_B Pi - p I with the orthogonal projector Pi(X) = Tr_B X (x) I / d_B,
+    so (I + R* R)^-1 = (I - Pi) / (1 + p^2) + Pi / (1 + (d_B - p)^2).
+    """
+    d_b = dims[1]
 
-def _pt_adjoint(dims, party_set):
-    return lambda e: _partial_transpose_arr(e, dims, party_set)
+    def reduce(x):
+        return reduction_image(x, dims, (1,), p)
 
+    def inverse(x):
+        pi_x = reduction_image(x, dims, (1,), 0.0) / d_b
+        return (x - pi_x) / (1.0 + p * p) + pi_x / (1.0 + (d_b - p) ** 2)
 
-def _reduction_adjoint(dims, party_set, p):
-    return lambda e: reduction_image(e, dims, party_set, p)
+    return Links(0, start, total_dim(dims), ((1, reduce, reduce),), inverse)
 
 
 def _support(mat, cutoff=1e-12):
@@ -399,30 +505,18 @@ def fidelity_root_sdp(
     a = np.zeros((n, n), dtype=complex)
     a[:r1, r1:] = 0.5 * m_ov.conj().T
     a[r1:, :r1] = 0.5 * m_ov
-    cons = []
-    for e in _herm_basis(r1):
-        big = np.zeros((n, n), dtype=complex)
-        big[:r1, :r1] = e
-        cons.append(({0: big}, float(np.real(np.trace(e @ rho_c)))))
-    for e in _herm_basis(r2):
-        big = np.zeros((n, n), dtype=complex)
-        big[r1:, r1:] = e
-        cons.append(({0: big}, float(np.real(np.trace(e @ sigma_c)))))
-    prob = SdpProblem([a], [n], cons, sense="max")
+    prob = SdpProblem([a], [n], [], sense="max", fixed=((0, 0, rho_c), (0, r1, sigma_c)))
     sol = solve_sdp(prob, tolerance=tolerance)
     value = float(min(max(sol.primal_value, 0.0), 1.0))
     return (value, sol) if full_output else value
 
 
-def _subspace_bound(subspace: Subspace, link_adjoints, tolerance) -> SdpSolution:
+def _subspace_bound(subspace: Subspace, links: Links, tolerance) -> SdpSolution:
     """min Tr[P_perp rho] over trace-one PSD rho with linked PSD images."""
     d = total_dim(subspace.dims)
-    blocks = [d] + [d] * len(link_adjoints)
-    objective = [subspace.complement.matrix] + [None] * len(link_adjoints)
-    cons = [({0: np.eye(d, dtype=complex)}, 1.0)]
-    for j, adj in enumerate(link_adjoints):
-        cons.extend(_linked_block_constraints(blocks, 0, 1 + j, adj))
-    prob = SdpProblem(objective, blocks, cons, sense="min")
+    n = len(links.images)
+    objective = [subspace.complement.matrix] + [None] * n
+    prob = SdpProblem(objective, [d] * (1 + n), [({0: np.eye(d)}, 1.0)], sense="min", links=links)
     return solve_sdp(prob, tolerance=tolerance)
 
 
@@ -435,8 +529,7 @@ def lower_bound_subspace_ppt(subspace: Subspace, tolerance=1e-7, full_output=Fal
     dims = subspace.dims
     n = len(dims)
     parties = [(0,)] if n == 2 else [(i,) for i in range(n)]
-    adjs = [_pt_adjoint(dims, p) for p in parties]
-    sol = _subspace_bound(subspace, adjs, tolerance)
+    sol = _subspace_bound(subspace, _transpose_links(dims, parties), tolerance)
     return (float(sol.dual_value), sol) if full_output else float(sol.dual_value)
 
 
@@ -447,9 +540,26 @@ def lower_bound_subspace_reduction(subspace: Subspace, k: int, tolerance=1e-7, f
     dims = subspace.dims
     if len(dims) != 2:
         raise StateError("reduction relaxation needs a bipartite layout")
-    adj = _reduction_adjoint(dims, (1,), 1.0 / (k - 1.0))
-    sol = _subspace_bound(subspace, [adj], tolerance)
+    sol = _subspace_bound(subspace, _reduction_links(dims, 1.0 / (k - 1.0)), tolerance)
     return (float(sol.dual_value), sol) if full_output else float(sol.dual_value)
+
+
+def resolve_relaxation(k: int, relaxation: str = "auto") -> str:
+    """The relaxation of the Schmidt-number-(k-1) set a k-bounded bound uses.
+
+    'auto' gives 'ppt' for k = 2 and 'reduction' otherwise.  'ppt' is refused
+    for k >= 3: the PPT set misses states of Schmidt number <= k-1 (such as a
+    Bell state), so its optimum is no lower bound.
+    """
+    if k < 2:
+        raise StateError("k must be >= 2")
+    if relaxation == "auto":
+        return "ppt" if k == 2 else "reduction"
+    if relaxation not in ("ppt", "reduction"):
+        raise StateError(f"unknown relaxation {relaxation!r}")
+    if relaxation == "ppt" and k > 2:
+        raise StateError("the PPT relaxation bounds only k = 2; use the reduction relaxation")
+    return relaxation
 
 
 def lower_bound_mixed(
@@ -458,62 +568,38 @@ def lower_bound_mixed(
     """Certified lower bound on the k-bounded mixed-state measure.
 
     Maximizes the square-root fidelity over the relaxed Schmidt-number-(k-1)
-    set (PPT for k = 2, the generalized reduction cone otherwise) and returns
-    1 - (max sqrt F)^2.  Values below 1e-6 do not certify entanglement.
+    set (see ``resolve_relaxation``) and returns 1 - (max sqrt F)^2.  Values
+    below 1e-6 do not certify entanglement.
     """
     if len(rho.dims) != 2:
         raise StateError("lower_bound_mixed needs a bipartite layout")
-    if k < 2:
-        raise StateError("k must be >= 2")
-    if relaxation == "auto":
-        relaxation = "ppt" if k == 2 else "reduction"
-    if relaxation not in ("ppt", "reduction"):
-        raise StateError(f"unknown relaxation {relaxation!r}")
+    relaxation = resolve_relaxation(k, relaxation)
     m = rho.dim
-    dims = rho.dims
-    if relaxation == "ppt":
-        adj = _pt_adjoint(dims, (0,))
+    rank_one = np.linalg.eigvalsh(rho.matrix)[-1] >= 1.0 - 1e-12
+    if rank_one:
+        # the fidelity is linear, F = <psi|sigma|psi>: block 0 is sigma
+        r, objective, fixed = 0, rho.matrix, ()
     else:
-        adj = _reduction_adjoint(dims, (1,), 1.0 / (k - 1.0))
-
-    vals = np.linalg.eigvalsh(rho.matrix)
-    if vals[-1] >= 1.0 - 1e-12:
-        # rank-one rho: the fidelity is linear, F = <psi|sigma|psi>
-        cons = [({0: np.eye(m, dtype=complex)}, 1.0)]
-        cons.extend(_linked_block_constraints([m, m], 0, 1, adj))
-        prob = SdpProblem([rho.matrix, None], [m, m], cons, sense="max")
-        sol = solve_sdp(prob, tolerance=tolerance)
-        value = 1.0 - float(sol.dual_value)
-        return (value, sol) if full_output else value
-
-    # block 0: fidelity block, rho compressed to its support, sigma in the
-    # bottom-right corner; block 1: the linked PSD image of sigma
-    u_r, rho_c = _support(rho.matrix)
-    r = rho_c.shape[0]
-    n = r + m
-
-    def _tl(e):
-        big = np.zeros((n, n), dtype=complex)
-        big[:r, :r] = e
-        return big
-
-    def _br(e):
-        big = np.zeros((n, n), dtype=complex)
-        big[r:, r:] = e
-        return big
-
-    a_obj = np.zeros((n, n), dtype=complex)
-    a_obj[:r, r:] = 0.5 * u_r.conj().T
-    a_obj[r:, :r] = 0.5 * u_r
-    cons = [({0: _br(np.eye(m, dtype=complex))}, 1.0)]
-    for e in _herm_basis(r):
-        cons.append(({0: _tl(e)}, float(np.real(np.trace(e @ rho_c)))))
-    for e in _herm_basis(m):
-        cons.append(({1: e, 0: _br(-adj(e))}, 0.0))
-    prob = SdpProblem([a_obj, None], [n, m], cons, sense="max")
+        # block 0: rho compressed to its support (fixed, top left) and sigma
+        # (bottom right) in the fidelity block matrix
+        u_r, rho_c = _support(rho.matrix)
+        r = rho_c.shape[0]
+        objective = np.zeros((r + m, r + m), dtype=complex)
+        objective[:r, r:] = 0.5 * u_r.conj().T
+        objective[r:, :r] = 0.5 * u_r
+        fixed = ((0, 0, rho_c),)
+    if relaxation == "ppt":
+        links = _transpose_links(rho.dims, [(0,)], start=r)
+    else:
+        links = _reduction_links(rho.dims, 1.0 / (k - 1.0), start=r)
+    trace_sigma = np.zeros((r + m, r + m))
+    trace_sigma[r:, r:] = np.eye(m)
+    prob = SdpProblem(
+        [objective, None], [r + m, m], [({0: trace_sigma}, 1.0)], sense="max", fixed=fixed, links=links
+    )
     sol = solve_sdp(prob, tolerance=tolerance)
     root = float(sol.dual_value)
-    value = 1.0 - root * root
+    value = 1.0 - root if rank_one else 1.0 - root * root
     return (value, sol) if full_output else value
 
 

@@ -77,6 +77,24 @@ def test_bound_reports_solver_status(capsys, monkeypatch):
     assert code == 0 and _record(out)["converged"] is False
 
 
+def test_bound_refuses_requests_it_cannot_certify(capsys):
+    """k >= 3 on a multipartite subspace, the reduction cone there, and PPT at k >= 3."""
+    for args in (
+        ("--subspace", "bhat:d1=2,d2=2,d3=2", "--k", "3"),
+        ("--subspace", "bhat:d1=2,d2=2,d3=2", "--k", "2", "--relaxation", "reduction"),
+        ("--subspace", "johnston_4x4", "--k", "3", "--relaxation", "ppt"),
+        ("--state", "isotropic:d=3,F=0.7", "--k", "3", "--relaxation", "ppt"),
+    ):
+        code, out, _ = run_cli(capsys, "bound", *args)
+        assert code == 2 and not out
+
+
+def test_bound_names_the_relaxation_used(capsys):
+    for k, method in (("2", "sdp-ppt"), ("3", "sdp-reduction")):
+        code, out, _ = run_cli(capsys, "bound", "--state", "isotropic:d=3,F=0.7", "--k", k)
+        assert code == 0 and _record(out)["method"] == method
+
+
 def test_criteria_with_witness(capsys):
     code, out, _ = run_cli(
         capsys, "criteria", "--state", "ghz", "--witness-from", "ghz", "--restarts", "3"

@@ -75,24 +75,32 @@ def unitary_from_reals(theta, n):
     return (vecs * np.exp(1j * vals)) @ vecs.conj().T
 
 
-def polar(a, eps=POLAR_EPS):
-    """Regularized polar factor A (A^dag A + eps I)^(-1/2)."""
-    b = a.conj().T @ a + eps * np.eye(a.shape[1])
-    vals, vecs = np.linalg.eigh(b)
-    inv_sqrt = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    return a @ inv_sqrt
-
-
-def polar_vjp(a, g, eps=POLAR_EPS):
-    """Cogradient through the regularized polar factor.
-
-    Uses the Daleckii-Krein divided differences of t -> t^(-1/2) on the
-    Gram-matrix eigenbasis.
-    """
+def _gram_eigh(a, eps):
+    """Eigenvectors, square-rooted eigenvalues and inverse square root of A^dag A + eps I."""
     b = a.conj().T @ a + eps * np.eye(a.shape[1])
     vals, vecs = np.linalg.eigh(b)
     sq = np.sqrt(vals)
-    inv_sqrt = (vecs / sq) @ vecs.conj().T
+    return vecs, sq, (vecs / sq) @ vecs.conj().T
+
+
+def polar(a, eps=POLAR_EPS, return_gram=False):
+    """Regularized polar factor A (A^dag A + eps I)^(-1/2).
+
+    With ``return_gram`` the Gram eigendata come back too, for ``polar_vjp``
+    at the same point to reuse instead of a second eigendecomposition.
+    """
+    gram = _gram_eigh(a, eps)
+    x = a @ gram[2]
+    return (x, gram) if return_gram else x
+
+
+def polar_vjp(a, g, eps=POLAR_EPS, gram=None):
+    """Cogradient through the regularized polar factor.
+
+    Uses the Daleckii-Krein divided differences of t -> t^(-1/2) on the
+    Gram-matrix eigenbasis; ``gram`` is what ``polar(a, eps, True)`` returned.
+    """
+    vecs, sq, inv_sqrt = _gram_eigh(a, eps) if gram is None else gram
     # divided differences of t^(-1/2): -1 / (sqrt(di dj) (sqrt(di) + sqrt(dj)))
     w = -1.0 / (np.outer(sq, sq) * (sq[:, None] + sq[None, :]))
     p = a.conj().T @ g

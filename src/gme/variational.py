@@ -145,14 +145,15 @@ def make_mixed_roof(rho: DensityMatrix, inner, n_entries: int) -> Objective:
     def fun_grad(theta):
         th_x, th_inner = ansatz.split(theta)
         a = stf.matrix(th_x)
-        psit = polar(a) @ lam_tilde.T  # row i: sum_j X_ij |lam_j~>
+        x, gram = polar(a, return_gram=True)
+        psit = x @ lam_tilde.T  # row i: sum_j X_ij |lam_j~>
         phi = inner.value(th_inner)
         c = np.sum(phi.conj() * psit, axis=-1)
         n = np.sum(phi.conj() * phi, axis=-1).real
         ratio = np.abs(c) ** 2 / n
         g_phi = (ratio / n)[:, None] * phi - (np.conj(c) / n)[:, None] * psit
         g_x = -((c / n)[:, None] * phi) @ lam_tilde.conj()
-        g_a = polar_vjp(a, g_x)
+        g_a = polar_vjp(a, g_x, gram=gram)
         grad = np.concatenate([reals_from_cograd(g_a.ravel()), inner.vjp(th_inner, g_phi).ravel()])
         return float(-np.sum(ratio)), grad
 

@@ -5,6 +5,7 @@ import dataclasses
 import json
 
 import numpy as np
+import pytest
 
 from gme import sdp
 from gme.cli import main
@@ -159,6 +160,25 @@ def test_haar_determinism(capsys, tmp_path):
     run_cli(capsys, "haar", "--samples", "50", "--seed", "9", "--out", str(out_b))
     assert (out_a / "samples.csv").read_bytes() == (out_b / "samples.csv").read_bytes()
     assert (out_a / "histogram.csv").read_bytes() == (out_b / "histogram.csv").read_bytes()
+
+
+def test_haar_refuses_k_below_one(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "haar", "--samples", "5", "--k", "0", "--out", str(tmp_path))
+    assert code == 2 and out == "" and "k=0" in err
+    assert not (tmp_path / "samples.csv").exists()
+
+
+@pytest.mark.parametrize("dims, k", [("4,4", "5"), ("2,3", "3")])
+def test_haar_refuses_k_above_local_dimension(capsys, tmp_path, dims, k):
+    code, out, err = run_cli(capsys, "haar", "--dims", dims, "--samples", "5", "--k", k, "--out", str(tmp_path))
+    assert code == 2 and out == "" and f"k={k}" in err
+    assert not (tmp_path / "samples.csv").exists()
+
+
+def test_haar_refuses_zero_bins(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "haar", "--samples", "5", "--bins", "0", "--out", str(tmp_path))
+    assert code == 2 and out == "" and "bin" in err
+    assert not (tmp_path / "samples.csv").exists()
 
 
 def test_convert_roundtrip(capsys, tmp_path):

@@ -26,11 +26,9 @@ from .serialize import (
 )
 from .states import DensityMatrix, PureState, StateError, Subspace
 from .zoo import (
-    StateSpec,
     canonical_mixed,
     canonical_pure,
     canonical_subspace,
-    dicke_mixture_gme,
     oracle_gme,
 )
 
@@ -202,6 +200,8 @@ def cmd_mixed(args):
 
 
 def cmd_bound(args):
+    if args.state is None and args.subspace is None:
+        raise CliError("bound needs --state or --subspace", EXIT_USAGE)
     obj = _load_any(args.state if args.state else args.subspace)
     try:
         relaxation = sdp.resolve_relaxation(args.k, args.relaxation)
@@ -306,11 +306,7 @@ def cmd_oracle(args):
     except StateFileError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     try:
-        if isinstance(spec, StateSpec) and spec.name == "dicke_mixture":
-            p = spec.params
-            value = dicke_mixture_gme(int(p["n"]), int(p["k1"]), int(p["k2"]), float(p["r"]))
-        else:
-            value = oracle_gme(spec, args.k)
+        value = oracle_gme(spec, args.k)
     except StateError as exc:
         raise CliError(str(exc), EXIT_USAGE) from exc
     _emit(
@@ -325,7 +321,10 @@ def cmd_oracle(args):
 
 
 def cmd_haar(args):
-    dims = tuple(int(x) for x in args.dims.split(","))
+    try:
+        dims = tuple(int(x) for x in args.dims.split(","))
+    except ValueError as exc:
+        raise CliError(f"--dims needs comma-separated integers, got {args.dims!r}", EXIT_USAGE) from exc
     config = ExperimentConfig(
         n_samples=args.samples,
         dims=dims,

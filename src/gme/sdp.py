@@ -24,11 +24,14 @@ on ``S``) and ``A x = b`` the scalar constraints, the affine projection is
 where the small Gram matrix ``G`` is factored once.  Memory grows with the
 number of block entries, and an iteration costs a few eigendecompositions.
 
-Hermitian blocks are vectorized into real coordinates that preserve trace
-inner products, so complex data needs no realification.  When every data
-matrix is real the blocks are real symmetric and keep n(n+1)/2 coordinates
-instead of n^2.  Link maps must send real matrices to real ones, as partial
-transposes and the reduction map do.
+The iterates are flat float64 vectors, and block b is a writable (n, n) view
+of its segment: n^2 floats for real data, or 2n^2 floats read as complex.  The
+plain dot product of two such vectors is the sum of the blocks' trace inner
+products, so the splitting runs on the flat vectors while every projection
+acts on the block matrices in place.  When every data matrix is real the
+blocks are real symmetric and the vector halves in length.  Link maps must
+send real matrices to real ones, as partial transposes and the reduction map
+do.
 """
 
 from __future__ import annotations
@@ -161,73 +164,46 @@ def _check_links(links, blocks):
 
 
 class _BlockVec:
-    """Isometry between Hermitian block lists and flat real vectors.
+    """Block-diagonal Hermitian matrices stored as one flat float64 vector.
 
+    ``views(flat)`` gives each block as a writable (n, n) view of its segment
+    of ``flat``, so that ``x @ y`` over flat vectors is ``sum_b Tr[X_b Y_b]``.
     With ``real=True`` (valid whenever every data matrix is real, since the
     real part of any feasible Hermitian point is then feasible with the same
-    objective) the blocks are real symmetric and the imaginary off-diagonal
-    coordinates are dropped, roughly halving the vector length.
+    objective) the blocks are real symmetric and hold n^2 floats instead of
+    2n^2.
     """
 
     def __init__(self, blocks, real=False):
         self.blocks = list(blocks)
         self.real = bool(real)
-        self.iu = [np.triu_indices(n, 1) for n in self.blocks]
-        if self.real:
-            self.sizes = [n * (n + 1) // 2 for n in self.blocks]
-        else:
-            self.sizes = [n * n for n in self.blocks]
-        self.offsets = np.concatenate([[0], np.cumsum(self.sizes)])
+        floats = 1 if self.real else 2
+        self.offsets = np.concatenate([[0], np.cumsum([floats * n * n for n in self.blocks])])
         self.total = int(self.offsets[-1])
 
-    def svec_block(self, b, mat):
-        iu = self.iu[b]
-        off = np.sqrt(2.0) * mat[iu]
-        if self.real:
-            return np.concatenate([np.diag(mat).real, off.real])
-        return np.concatenate([np.diag(mat).real, off.real, off.imag])
-
-    def smat_block(self, b, vec):
-        n = self.blocks[b]
-        iu = self.iu[b]
-        k = iu[0].size
-        if self.real:
-            mat = np.zeros((n, n))
-            mat[np.diag_indices(n)] = vec[:n]
-            off = vec[n : n + k] / np.sqrt(2.0)
-            mat[iu] = off
-            mat[(iu[1], iu[0])] = off
-            return mat
-        mat = np.zeros((n, n), dtype=complex)
-        mat[np.diag_indices(n)] = vec[:n]
-        off = (vec[n : n + k] + 1j * vec[n + k :]) / np.sqrt(2.0)
-        mat[iu] = off
-        mat[(iu[1], iu[0])] = off.conj()
-        return mat
-
-    def svec(self, mats):
-        out = np.zeros(self.total)
-        for b, mat in enumerate(mats):
-            if mat is not None:
-                out[self.offsets[b] : self.offsets[b + 1]] = self.svec_block(b, np.asarray(mat, dtype=complex))
+    def views(self, flat):
+        out = []
+        for b, n in enumerate(self.blocks):
+            seg = flat[self.offsets[b] : self.offsets[b + 1]]
+            out.append((seg if self.real else seg.view(complex)).reshape(n, n))
         return out
 
-    def smat(self, vec):
-        return [
-            self.smat_block(b, vec[self.offsets[b] : self.offsets[b + 1]])
-            for b in range(len(self.blocks))
-        ]
+    def hermitian(self, flat):
+        """The blocks of ``flat`` as exactly Hermitian copies."""
+        return [(mat + mat.conj().T) / 2.0 for mat in self.views(flat)]
+
+    def flatten(self, mats):
+        out = np.zeros(self.total)
+        for view, mat in zip(self.views(out), mats):
+            if mat is not None:
+                view[...] = np.asarray(mat).real if self.real else mat
+        return out
 
     def project_psd(self, vec):
         out = np.empty_like(vec)
-        for b in range(len(self.blocks)):
-            seg = vec[self.offsets[b] : self.offsets[b + 1]]
-            mat = self.smat_block(b, seg)
+        for mat, dst in zip(self.views(vec), self.views(out)):
             vals, vecs = np.linalg.eigh(mat)
-            vals = np.clip(vals, 0.0, None)
-            out[self.offsets[b] : self.offsets[b + 1]] = self.svec_block(
-                b, (vecs * vals) @ vecs.conj().T
-            )
+            np.matmul(vecs * np.clip(vals, 0.0, None), vecs.conj().T, out=dst)
         return out
 
 
@@ -242,13 +218,12 @@ def _structure_projection(problem: SdpProblem, vec: _BlockVec):
         for b, start, value in problem.fixed
     ]
     links = problem.links
-    touched = {b for b, _, _ in fixed}
     if links is not None:
         src = slice(links.start, links.start + links.side)
-        touched |= {links.block} | {dst for dst, _, _ in links.images}
 
     def project(v, shift=True):
-        mats = {b: vec.smat_block(b, v[vec.offsets[b] : vec.offsets[b + 1]]) for b in touched}
+        out = v.copy()
+        mats = vec.views(out)
         for b, sub, value in fixed:
             mats[b][sub, sub] = value if shift else 0.0
         if links is not None:
@@ -258,10 +233,7 @@ def _structure_projection(problem: SdpProblem, vec: _BlockVec):
             )
             mats[links.block][src, src] = s
             for dst, forward, _ in links.images:
-                mats[dst] = forward(s)
-        out = v.copy()
-        for b, mat in mats.items():
-            out[vec.offsets[b] : vec.offsets[b + 1]] = vec.svec_block(b, mat)
+                mats[dst][...] = forward(s)
         return out
 
     return project
@@ -288,25 +260,21 @@ def solve_sdp(
     data += [mat for coeffs, _ in problem.constraints for mat in coeffs.values()]
     vec = _BlockVec(problem.blocks, real=all(_is_real(mat) for mat in data))
     sign = 1.0 if problem.sense == "min" else -1.0
-    c = sign * vec.svec(problem.objective)
+    c = sign * vec.flatten(problem.objective)
     c_scale = max(np.linalg.norm(c), 1e-12)
     c = c / c_scale
+    c_norm = 1.0 + np.linalg.norm(c)
     project = _structure_projection(problem, vec)
 
     m = len(problem.constraints)
-    a_rows = np.zeros((m, vec.total))
-    b_rhs = np.zeros(m)
-    row_scale = np.ones(m)
-    for i, (coeffs, rhs) in enumerate(problem.constraints):
-        for bidx, mat in coeffs.items():
-            a_rows[i, vec.offsets[bidx] : vec.offsets[bidx + 1]] = vec.svec_block(
-                bidx, np.asarray(mat, dtype=complex)
-            )
-        row_scale[i] = np.linalg.norm(a_rows[i])
-        if row_scale[i] < 1e-14:
-            raise StateError(f"constraint {i} has zero coefficients")
-        a_rows[i] /= row_scale[i]
-        b_rhs[i] = rhs / row_scale[i]
+    a_rows = np.array(
+        [vec.flatten([coeffs.get(b) for b in range(len(vec.blocks))]) for coeffs, _ in problem.constraints]
+    ).reshape(m, vec.total)
+    row_scale = np.linalg.norm(a_rows, axis=1)
+    if np.any(row_scale < 1e-14):
+        raise StateError(f"constraint {np.argmax(row_scale < 1e-14)} has zero coefficients")
+    a_rows /= row_scale[:, None]
+    b_rhs = np.array([rhs for _, rhs in problem.constraints], dtype=float) / row_scale
 
     # the scalar constraints restricted to the structure: rows P_S a_i, Gram A P_S A^T
     pa_rows = np.array([project(row, shift=False) for row in a_rows]).reshape(m, vec.total)
@@ -322,10 +290,32 @@ def solve_sdp(
         lam = sla.cho_solve(cho, w, check_finite=False) if m else w
         return p - pa_rows.T @ lam, lam
 
+    def kkt(x, v, z, u, sigma):
+        """Objectives and residuals at one iterate, in reported units, and the relative gap.
+
+        A* y of every affine constraint is sigma (x - v); with A x = b, b^T y = <x, A* y>.
+        """
+        a_adj_y = sigma * (x - v)
+        s = -sigma * u
+        p_obj, d_obj = float(c @ x), float(x @ a_adj_y)
+        dual_eq = float(np.linalg.norm(c - a_adj_y - s))
+        x_norm, split = float(np.linalg.norm(x)), float(np.linalg.norm(x - z))
+        record = {
+            "primal_objective": sign * p_obj * c_scale,
+            "dual_objective": sign * d_obj * c_scale,
+            "primal_residual": split / (1.0 + max(x_norm, float(np.linalg.norm(z)))),
+            "dual_residual": dual_eq / c_norm,
+            "dual_eq_norm": dual_eq * c_scale,
+            "slack_norm": float(np.linalg.norm(s)) * c_scale,
+            "split_gap": split,
+            "x_norm": x_norm,
+        }
+        return record, abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
+
     x0, _ = proj_affine(np.zeros(vec.total))
     if np.linalg.norm(a_rows @ x0 - b_rhs) > 1e-7 * (1.0 + np.linalg.norm(b_rhs)):
         return SdpSolution(
-            math.nan, math.nan, vec.smat(x0), np.zeros(m), math.inf, math.inf, 0,
+            math.nan, math.nan, vec.hermitian(x0), np.zeros(m), math.inf, math.inf, 0,
             "infeasible_suspected", [] if keep_history else None,
         )
 
@@ -335,11 +325,9 @@ def solve_sdp(
     u = np.zeros(vec.total)
     x = x0
     history = [] if keep_history else None
-    c_norm = 1.0 + np.linalg.norm(c)
     status = "max_iterations"
     it = 0
     check_every = 25
-    prim_res = dual_res = math.inf
 
     for it in range(1, max_iterations + 1):
         v = z - u - c / sigma
@@ -351,34 +339,14 @@ def solve_sdp(
         z = z_new
 
         if it % check_every == 0 or it == max_iterations:
-            # A* y of every affine constraint is sigma (x - v); with A x = b, b^T y = <x, A* y>
-            a_adj_y = sigma * (x - v)
-            s = -sigma * u
-            dual_eq = np.linalg.norm(c - a_adj_y - s)
-            prim_res = np.linalg.norm(x - z) / (1.0 + max(np.linalg.norm(x), np.linalg.norm(z)))
-            dual_res = dual_eq / c_norm
-            p_obj = float(c @ x)
-            d_obj = float(x @ a_adj_y)
-            gap = abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
+            record, gap = kkt(x, v, z, u, sigma)
             if history is not None:
-                history.append(
-                    {
-                        "iteration": it,
-                        "primal_objective": sign * p_obj * c_scale,
-                        "dual_objective": sign * d_obj * c_scale,
-                        "primal_residual": prim_res,
-                        "dual_residual": dual_res,
-                        "dual_eq_norm": float(dual_eq) * c_scale,
-                        "slack_norm": float(np.linalg.norm(s)) * c_scale,
-                        "split_gap": float(np.linalg.norm(x - z)),
-                        "x_norm": float(np.linalg.norm(x)),
-                    }
-                )
-            if prim_res <= tolerance and dual_res <= tolerance and gap <= GAP_TOL:
+                history.append({"iteration": it, **record})
+            if record["primal_residual"] <= tolerance and record["dual_residual"] <= tolerance and gap <= GAP_TOL:
                 status = "optimal"
                 break
             # residual balancing keeps the splitting well conditioned
-            raw_p = np.linalg.norm(x - z)
+            raw_p = record["split_gap"]
             raw_d = sigma * shift
             if raw_p > 10.0 * raw_d and sigma < 1e6:
                 u /= 2.0
@@ -390,19 +358,14 @@ def solve_sdp(
     # consistent final KKT snapshot
     v = z - u - c / sigma
     x, lam = proj_affine(v)
-    a_adj_y = sigma * (x - v)
-    s = -sigma * u
-    prim_res = np.linalg.norm(x - z) / (1.0 + max(np.linalg.norm(x), np.linalg.norm(z)))
-    dual_res = np.linalg.norm(c - a_adj_y - s) / c_norm
-    p_obj = float(c @ x)
-    d_obj = float(x @ a_adj_y)
+    record, _ = kkt(x, v, z, u, sigma)
     return SdpSolution(
-        primal_value=sign * p_obj * c_scale,
-        dual_value=sign * d_obj * c_scale,
-        block_values=vec.smat(z),
+        primal_value=record["primal_objective"],
+        dual_value=record["dual_objective"],
+        block_values=vec.hermitian(z),
         dual_multipliers=-sign * c_scale * sigma * lam / row_scale,
-        primal_residual=prim_res,
-        dual_residual=dual_res,
+        primal_residual=record["primal_residual"],
+        dual_residual=record["dual_residual"],
         iterations=it,
         status=status,
         history=history,

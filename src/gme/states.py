@@ -155,8 +155,7 @@ class Subspace:
         if any(s.dims != dims for s in states):
             raise StateError("spanning states must share one layout")
         basis = orthonormal_basis([s.amplitudes for s in states])
-        proj = complement_projector(states)
-        return Subspace(states, basis, proj, dims)
+        return Subspace(states, basis, _complement_of(basis), dims)
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +285,12 @@ def complement_projector(states) -> Projector:
     dims = states[0].dims
     if any(s.dims != dims for s in states):
         raise StateError("dimension mismatch among spanning states")
-    basis = orthonormal_basis([s.amplitudes for s in states])
-    d = total_dim(dims)
+    return _complement_of(orthonormal_basis([s.amplitudes for s in states]))
+
+
+def _complement_of(basis) -> Projector:
+    """Projector onto the orthogonal complement of the span of orthonormal columns."""
+    d = basis.shape[0]
     proj = np.eye(d, dtype=complex) - basis @ basis.conj().T
     proj = 0.5 * (proj + proj.conj().T)
     return Projector(proj, d - basis.shape[1])

@@ -429,6 +429,8 @@ def oracle_gme(spec, k: int) -> float:
         return dicke_gme(int(p["n"]), int(p["m"]))
     if name == "two_by_d_theta":
         return two_by_d_theta_gme(int(p["d"]), float(p["theta"]))
+    if name == "dicke_mixture":
+        return dicke_mixture_gme(int(p["n"]), int(p["k1"]), int(p["k2"]), float(p["r"]))
     if name in ("ghz",):
         return 0.5
     if name in ("w", "w_tilde"):

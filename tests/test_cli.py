@@ -11,7 +11,7 @@ from gme import sdp
 from gme.cli import main
 from gme.serialize import save_state
 from gme.states import PureState
-from gme.zoo import bell_state
+from gme.zoo import bell_state, dicke_mixture_gme
 
 
 def run_cli(capsys, *argv):
@@ -36,6 +36,15 @@ def test_oracle_isotropic(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--state", "isotropic:d=4,F=1", "--k", "2")
     assert code == 0
     assert abs(_record(out)["value"] - 0.75) < 1e-12
+
+
+def test_oracle_dicke_mixture_honours_k(capsys):
+    """The Dicke-mixture closed form is the k = 2 measure; k = 3 is refused, not answered with it."""
+    state = "dicke_mixture:n=4,k1=1,k2=2,r=0.3"
+    code, out, _ = run_cli(capsys, "oracle", "--state", state, "--k", "2")
+    assert code == 0 and _record(out)["value"] == dicke_mixture_gme(4, 1, 2, 0.3)
+    code, out, err = run_cli(capsys, "oracle", "--state", state, "--k", "3")
+    assert code == 2 and out == "" and err.startswith("gme:")
 
 
 def test_transform_example_pair(capsys, tmp_path):
@@ -94,6 +103,11 @@ def test_bound_names_the_relaxation_used(capsys):
     for k, method in (("2", "sdp-ppt"), ("3", "sdp-reduction")):
         code, out, _ = run_cli(capsys, "bound", "--state", "isotropic:d=3,F=0.7", "--k", k)
         assert code == 0 and _record(out)["method"] == method
+
+
+def test_bound_needs_a_state_or_subspace(capsys):
+    code, out, err = run_cli(capsys, "bound", "--k", "2")
+    assert code == 2 and out == "" and err.startswith("gme:")
 
 
 def test_criteria_with_witness(capsys):
@@ -178,6 +192,12 @@ def test_haar_refuses_k_above_local_dimension(capsys, tmp_path, dims, k):
 def test_haar_refuses_zero_bins(capsys, tmp_path):
     code, out, err = run_cli(capsys, "haar", "--samples", "5", "--bins", "0", "--out", str(tmp_path))
     assert code == 2 and out == "" and "bin" in err
+    assert not (tmp_path / "samples.csv").exists()
+
+
+def test_haar_refuses_non_integer_dims(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "haar", "--dims", "4,x", "--samples", "10", "--out", str(tmp_path))
+    assert code == 2 and out == "" and err.startswith("gme:")
     assert not (tmp_path / "samples.csv").exists()
 
 

@@ -380,6 +380,23 @@ def test_real_data_takes_real_path(rng):
         assert abs(value - value_c) < 1e-7
 
 
+def test_block_values_exactly_hermitian(rng):
+    """Returned blocks are exactly Hermitian on the real and the complex path.
+
+    Each problem has a fixed sub-block (rho on its support) and links (a
+    partial transpose at k = 2, the reduction map at k = 3).
+    """
+    rho = isotropic_state(3, 0.7)
+    uni = np.kron(random_unitary(3, rng), random_unitary(3, rng))
+    rho_c = DensityMatrix(uni @ rho.matrix @ uni.conj().T, (3, 3))
+    for state, dtype in ((rho, np.float64), (rho_c, np.complex128)):
+        for k in (2, 3):
+            _, sol = lower_bound_mixed(state, k, full_output=True)
+            assert sol.status == "optimal"
+            for b in sol.block_values:
+                assert b.dtype == dtype and np.array_equal(b, b.conj().T)
+
+
 def test_isotropic_10_bound_in_child_process():
     """A certified Schmidt-number bound at 10 x 10, with peak RSS below 1 GB."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(gme.__file__)))

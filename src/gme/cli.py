@@ -17,20 +17,9 @@ from . import sdp, variational
 from .haar import ExperimentConfig, haar_experiment
 from .optimizers import OptimizerConfig
 from .pure import distill_probability, nielsen_transformable, vidal_probability
-from .serialize import (
-    StateFileError,
-    load_state,
-    parse_spec_string,
-    save_state,
-    spec_kind,
-)
+from .serialize import StateFileError, load_state, parse_spec_string, save_state
 from .states import DensityMatrix, PureState, StateError, Subspace
-from .zoo import (
-    canonical_mixed,
-    canonical_pure,
-    canonical_subspace,
-    oracle_gme,
-)
+from .zoo import build_family, oracle_gme
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -48,6 +37,12 @@ def _emit(record):
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _emit_estimate(est, args):
+    """The record of a variational subcommand."""
+    _emit({"value": est.value, "k": args.k, "method": "variational",
+           "converged": est.converged, "seed": args.seed})
+
+
 def _load_any(text):
     """Resolve --state/--subspace arguments: spec string or @file / *.json path."""
     if text.startswith("@") or text.endswith(".json"):
@@ -59,13 +54,7 @@ def _load_any(text):
         except StateFileError as exc:
             raise CliError(str(exc), EXIT_PARSE) from exc
     try:
-        spec = parse_spec_string(text)
-        kind = spec_kind(spec)
-        if kind == "pure":
-            return canonical_pure(spec)
-        if kind == "mixed":
-            return canonical_mixed(spec)
-        return canonical_subspace(spec)
+        return build_family(parse_spec_string(text))
     except StateFileError as exc:
         raise CliError(str(exc), EXIT_PARSE) from exc
     except StateError as exc:
@@ -140,15 +129,7 @@ def cmd_pure(args):
         raise CliError("subcommand 'pure' needs a pure state", EXIT_USAGE)
     cfg = _optimizer_config(args)
     est = variational.kgme_pure_multipartite(state, args.k, cfg)
-    _emit(
-        {
-            "value": est.value,
-            "k": args.k,
-            "method": "variational",
-            "converged": est.converged,
-            "seed": args.seed,
-        }
-    )
+    _emit_estimate(est, args)
 
 
 def cmd_subspace(args):
@@ -162,15 +143,7 @@ def cmd_subspace(args):
         if args.k != 2:
             raise CliError("multipartite subspaces support k = 2 only", EXIT_USAGE)
         est = variational.gme_subspace_multipartite(sub, cfg)
-    _emit(
-        {
-            "value": est.value,
-            "k": args.k,
-            "method": "variational",
-            "converged": est.converged,
-            "seed": args.seed,
-        }
-    )
+    _emit_estimate(est, args)
 
 
 def cmd_mixed(args):
@@ -188,21 +161,13 @@ def cmd_mixed(args):
         if args.k != 2:
             raise CliError("multipartite mixed states support k = 2 only", EXIT_USAGE)
         est = variational.gme_mixed_multipartite(rho, n_entries, cfg)
-    _emit(
-        {
-            "value": est.value,
-            "k": args.k,
-            "method": "variational",
-            "converged": est.converged,
-            "seed": args.seed,
-        }
-    )
+    _emit_estimate(est, args)
 
 
 def cmd_bound(args):
-    if args.state is None and args.subspace is None:
-        raise CliError("bound needs --state or --subspace", EXIT_USAGE)
-    obj = _load_any(args.state if args.state else args.subspace)
+    if (args.state is None) == (args.subspace is None):
+        raise CliError("bound needs exactly one of --state and --subspace", EXIT_USAGE)
+    obj = _load_any(args.state if args.state is not None else args.subspace)
     try:
         relaxation = sdp.resolve_relaxation(args.k, args.relaxation)
         if isinstance(obj, Subspace):

@@ -18,13 +18,7 @@ import json
 import numpy as np
 
 from .states import DensityMatrix, PureState, StateError, Subspace
-from .zoo import (
-    MIXED_STATE_NAMES,
-    PURE_STATE_NAMES,
-    SUBSPACE_NAMES,
-    StateSpec,
-    SubspaceSpec,
-)
+from .zoo import FAMILIES, StateSpec, SubspaceSpec, family_signature
 
 LOAD_ATOL = 1e-9   # files off by more than this fail to parse
 
@@ -153,54 +147,18 @@ def load_state(path):
 # spec strings
 
 
-_PARAM_TYPES = {
-    "d": int,
-    "d1": int,
-    "d2": int,
-    "d3": int,
-    "n": int,
-    "m": int,
-    "k1": int,
-    "k2": int,
-    "F": float,
-    "alpha": float,
-    "a": float,
-    "r": float,
-    "theta": float,
-    "xi": float,
-}
-
-_EXPECTED_KEYS = {
-    "bell": set(),
-    "ghz": set(),
-    "w": set(),
-    "w_tilde": set(),
-    "max_entangled": {"d"},
-    "dicke": {"n", "m"},
-    "isotropic": {"d", "F"},
-    "werner": {"d", "alpha"},
-    "horodecki": {"a"},
-    "upb_tiles_state": set(),
-    "upb_shifts_state": set(),
-    "huber_ppt": {"d"},
-    "dicke_mixture": {"n", "k1", "k2", "r"},
-    "two_by_d_theta": {"d", "theta", "xi"},
-    "johnston_4x4": set(),
-    "bhat": {"d1", "d2", "d3"},
-    "tiles_complement": set(),
-    "shifts_complement": set(),
-}
-
-_OPTIONAL_KEYS = {"two_by_d_theta": {"xi"}}
-
-
 def parse_spec_string(text: str):
-    """Parse ``name`` or ``name:key=value,key=value`` into a typed spec."""
+    """Parse ``name`` or ``name:key=value,key=value`` into a typed spec.
+
+    The family table in ``gme.zoo`` decides the names, the keys, their types
+    and which keys may be left out.
+    """
     text = text.strip()
     name, _, tail = text.partition(":")
     name = name.strip()
-    if name not in _EXPECTED_KEYS:
+    if name not in FAMILIES:
         raise StateFileError(f"unknown family {name!r}")
+    types, required, kind = family_signature(name)
     params = {}
     if tail:
         for item in tail.split(","):
@@ -208,26 +166,21 @@ def parse_spec_string(text: str):
             key = key.strip()
             if not sep:
                 raise StateFileError(f"malformed parameter {item!r} (expected key=value)")
-            if key not in _EXPECTED_KEYS[name]:
+            if key not in types:
                 raise StateFileError(f"unknown key {key!r} for family {name!r}")
+            if key in params:
+                raise StateFileError(f"key {key!r} given twice for family {name!r}")
             try:
-                params[key] = _PARAM_TYPES[key](value.strip())
+                params[key] = types[key](value.strip())
             except ValueError as exc:
                 raise StateFileError(f"value for {key!r} is not a number: {value!r}") from exc
-    required = _EXPECTED_KEYS[name] - _OPTIONAL_KEYS.get(name, set())
     missing = required - set(params)
     if missing:
         raise StateFileError(f"family {name!r} is missing parameters {sorted(missing)}")
-    if name in SUBSPACE_NAMES:
-        return SubspaceSpec(name, params)
-    return StateSpec(name, params)
+    return (SubspaceSpec if kind == "subspace" else StateSpec)(name, params)
 
 
 def spec_kind(spec) -> str:
-    if isinstance(spec, SubspaceSpec):
-        return "subspace"
-    if spec.name in PURE_STATE_NAMES:
-        return "pure"
-    if spec.name in MIXED_STATE_NAMES:
-        return "mixed"
-    raise StateFileError(f"unknown family {spec.name!r}")
+    if spec.name not in FAMILIES:
+        raise StateFileError(f"unknown family {spec.name!r}")
+    return family_signature(spec.name)[2]

@@ -4,11 +4,17 @@ Every constructor here is ground truth for validating the variational and
 SDP machinery: canonical pure/mixed states, unextendible product bases and
 their complements, one-parameter families with known k-GME values, and the
 eigenvalue statistics of Haar-random bipartite states.
+
+``FAMILIES`` maps each spec name to its constructor; the constructor's
+annotated signature is the family's parameter list and kind.
 """
 
 from __future__ import annotations
 
+import functools
+import inspect
 import math
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,25 +45,6 @@ class SubspaceSpec:
 
     name: str
     params: dict = field(default_factory=dict)
-
-
-PURE_STATE_NAMES = ("bell", "ghz", "w", "w_tilde", "max_entangled", "dicke")
-MIXED_STATE_NAMES = (
-    "isotropic",
-    "werner",
-    "horodecki",
-    "upb_tiles_state",
-    "upb_shifts_state",
-    "huber_ppt",
-    "dicke_mixture",
-)
-SUBSPACE_NAMES = (
-    "two_by_d_theta",
-    "johnston_4x4",
-    "bhat",
-    "tiles_complement",
-    "shifts_complement",
-)
 
 
 def _basis_vec(d, i):
@@ -113,23 +100,6 @@ def dicke_state(n: int, m: int) -> PureState:
             amps[idx] = 1.0
     amps /= np.linalg.norm(amps)
     return PureState(amps, (2,) * n)
-
-
-def canonical_pure(spec: StateSpec) -> PureState:
-    name, p = spec.name, spec.params
-    if name == "bell":
-        return bell_state()
-    if name == "ghz":
-        return ghz_state()
-    if name == "w":
-        return w_state()
-    if name == "w_tilde":
-        return w_tilde_state()
-    if name == "max_entangled":
-        return max_entangled(int(p["d"]))
-    if name == "dicke":
-        return dicke_state(int(p["n"]), int(p["m"]))
-    raise StateError(f"unknown pure state {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -274,27 +244,6 @@ def dicke_mixture_state(n: int, k1: int, k2: int, r: float) -> DensityMatrix:
     return DensityMatrix(mat, (2,) * n)
 
 
-def canonical_mixed(spec: StateSpec) -> DensityMatrix:
-    name, p = spec.name, spec.params
-    if name == "isotropic":
-        return isotropic_state(int(p["d"]), float(p["F"]))
-    if name == "werner":
-        return werner_state(int(p["d"]), float(p["alpha"]))
-    if name == "horodecki":
-        return horodecki_state(float(p["a"]))
-    if name == "upb_tiles_state":
-        return upb_tiles_state()
-    if name == "upb_shifts_state":
-        return upb_shifts_state()
-    if name == "huber_ppt":
-        return huber_ppt_state(int(p["d"]))
-    if name == "dicke_mixture":
-        return dicke_mixture_state(
-            int(p["n"]), int(p["k1"]), int(p["k2"]), float(p["r"])
-        )
-    raise StateError(f"unknown mixed state {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # canonical subspaces
 
@@ -366,21 +315,73 @@ def shifts_complement_subspace() -> Subspace:
     return _upb_complement_subspace(shifts_upb())
 
 
+# ---------------------------------------------------------------------------
+# the family table: spec names, parameters and kinds come from the constructors
+
+
+FAMILIES = {
+    "bell": bell_state,
+    "ghz": ghz_state,
+    "w": w_state,
+    "w_tilde": w_tilde_state,
+    "max_entangled": max_entangled,
+    "dicke": dicke_state,
+    "isotropic": isotropic_state,
+    "werner": werner_state,
+    "horodecki": horodecki_state,
+    "upb_tiles_state": upb_tiles_state,
+    "upb_shifts_state": upb_shifts_state,
+    "huber_ppt": huber_ppt_state,
+    "dicke_mixture": dicke_mixture_state,
+    "two_by_d_theta": two_by_d_theta_subspace,
+    "johnston_4x4": johnston_subspace,
+    "bhat": bhat_subspace,
+    "tiles_complement": tiles_complement_subspace,
+    "shifts_complement": shifts_complement_subspace,
+}
+
+_KINDS = {PureState: "pure", DensityMatrix: "mixed", Subspace: "subspace"}
+_KIND_NOUNS = {None: "family", "pure": "pure state", "mixed": "mixed state", "subspace": "subspace"}
+
+
+@functools.cache
+def family_signature(name: str) -> tuple[dict, frozenset, str]:
+    """(parameter types, required keys, kind) of a family, read off its constructor.
+
+    Parameters with a default are optional; the return annotation gives the
+    kind, one of "pure", "mixed" and "subspace".
+    """
+    constructor = FAMILIES[name]
+    types = typing.get_type_hints(constructor)
+    kind = _KINDS[types.pop("return")]
+    params = inspect.signature(constructor).parameters.values()
+    required = frozenset(p.name for p in params if p.default is p.empty)
+    return types, required, kind
+
+
+def _family_args(spec, kind: str | None = None) -> dict:
+    """The spec's parameters cast to its constructor's types; keys it does not take are ignored."""
+    if spec.name not in FAMILIES or kind not in (None, family_signature(spec.name)[2]):
+        raise StateError(f"unknown {_KIND_NOUNS[kind]} {spec.name!r}")
+    types = family_signature(spec.name)[0]
+    return {key: cast(spec.params[key]) for key, cast in types.items() if key in spec.params}
+
+
+def build_family(spec, kind: str | None = None):
+    """Construct the state or subspace a spec names; with ``kind``, refuse other kinds."""
+    return FAMILIES[spec.name](**_family_args(spec, kind))
+
+
+def canonical_pure(spec: StateSpec) -> PureState:
+    return build_family(spec, "pure")
+
+
+def canonical_mixed(spec: StateSpec) -> DensityMatrix:
+    return build_family(spec, "mixed")
+
+
 def canonical_subspace(spec: SubspaceSpec) -> Subspace:
-    name, p = spec.name, spec.params
-    if name == "two_by_d_theta":
-        return two_by_d_theta_subspace(
-            int(p["d"]), float(p["theta"]), float(p.get("xi", 0.0))
-        )
-    if name == "johnston_4x4":
-        return johnston_subspace()
-    if name == "bhat":
-        return bhat_subspace(int(p["d1"]), int(p["d2"]), int(p["d3"]))
-    if name == "tiles_complement":
-        return tiles_complement_subspace()
-    if name == "shifts_complement":
-        return shifts_complement_subspace()
-    raise StateError(f"unknown subspace {name!r}")
+    return build_family(spec, "subspace")
 
 
 # ---------------------------------------------------------------------------
@@ -417,27 +418,31 @@ def two_by_d_theta_gme(d: int, theta: float) -> float:
 
 
 def oracle_gme(spec, k: int) -> float:
-    """Closed-form k-GME for the supported (family, k) pairs."""
-    name, p = spec.name, spec.params
+    """Closed-form k-GME for the supported (family, k) pairs.
+
+    The family is built first, so its constructor alone decides which
+    parameters are valid.
+    """
+    name, p = spec.name, _family_args(spec)
+    FAMILIES[name](**p)
     if name == "isotropic":
-        return isotropic_kgme(int(p["d"]), float(p["F"]), k)
+        return isotropic_kgme(p["d"], p["F"], k)
     if k != 2:
         raise StateError(f"no closed form for {name!r} with k={k}")
     if name == "werner":
-        return werner_gme(int(p["d"]), float(p["alpha"]))
+        return werner_gme(p["d"], p["alpha"])
     if name == "dicke":
-        return dicke_gme(int(p["n"]), int(p["m"]))
+        return dicke_gme(p["n"], p["m"])
     if name == "two_by_d_theta":
-        return two_by_d_theta_gme(int(p["d"]), float(p["theta"]))
+        return two_by_d_theta_gme(p["d"], p["theta"])
     if name == "dicke_mixture":
-        return dicke_mixture_gme(int(p["n"]), int(p["k1"]), int(p["k2"]), float(p["r"]))
-    if name in ("ghz",):
+        return dicke_mixture_gme(p["n"], p["k1"], p["k2"], p["r"])
+    if name == "ghz":
         return 0.5
     if name in ("w", "w_tilde"):
         return 5.0 / 9.0
     if name in ("bell", "max_entangled"):
-        d = int(p.get("d", 2))
-        return 1.0 - 1.0 / d
+        return 1.0 - 1.0 / p.get("d", 2)
     raise StateError(f"no closed-form oracle for {name!r}")
 
 

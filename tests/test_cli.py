@@ -47,6 +47,21 @@ def test_oracle_dicke_mixture_honours_k(capsys):
     assert code == 2 and out == "" and err.startswith("gme:")
 
 
+@pytest.mark.parametrize(
+    "state",
+    [
+        "isotropic:d=4,F=1.5",
+        "werner:d=4,alpha=3",
+        "two_by_d_theta:d=3,theta=7",
+        "max_entangled:d=1",
+        "werner:d=1,alpha=0.5",
+    ],
+)
+def test_oracle_refuses_parameters_its_family_refuses(capsys, state):
+    code, out, err = run_cli(capsys, "oracle", "--state", state)
+    assert code == 2 and out == "" and err.startswith("gme:")
+
+
 def test_transform_example_pair(capsys, tmp_path):
     amps = np.zeros(16, dtype=complex)
     amps[[0, 5, 10, 15]] = np.sqrt([2 / 5, 2 / 5, 1 / 10, 1 / 10])
@@ -107,6 +122,13 @@ def test_bound_names_the_relaxation_used(capsys):
 
 def test_bound_needs_a_state_or_subspace(capsys):
     code, out, err = run_cli(capsys, "bound", "--k", "2")
+    assert code == 2 and out == "" and err.startswith("gme:")
+
+
+def test_bound_refuses_a_state_and_a_subspace_together(capsys):
+    code, out, err = run_cli(
+        capsys, "bound", "--state", "isotropic:d=2,F=0.9", "--subspace", "bhat:d1=2,d2=2,d3=2"
+    )
     assert code == 2 and out == "" and err.startswith("gme:")
 
 

@@ -95,3 +95,5 @@ def test_spec_string_grammar():
         parse_spec_string("isotropic:d=4")  # missing F
     with pytest.raises(StateFileError):
         parse_spec_string("isotropic:d=four,F=1")
+    with pytest.raises(StateFileError):
+        parse_spec_string("isotropic:d=4,F=0.6,F=0.9")  # repeated key

@@ -1,13 +1,17 @@
 """Named states, subspaces, and closed-form oracles."""
 
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from gme.states import StateError, partial_transpose
+from gme.serialize import parse_spec_string, spec_kind
+from gme.states import DensityMatrix, PureState, StateError, Subspace, partial_transpose
 from gme.zoo import (
+    FAMILIES,
     StateSpec,
     SubspaceSpec,
     _mixed_state_upb,
@@ -144,6 +148,46 @@ def test_johnston_spanning_orthonormal():
 def test_complement_subspaces():
     assert canonical_subspace(SubspaceSpec("tiles_complement")).dimension == 4
     assert canonical_subspace(SubspaceSpec("shifts_complement")).dimension == 4
+
+
+# valid parameters for each family that takes any; the others are named bare
+FAMILY_EXAMPLES = {
+    "max_entangled": "max_entangled:d=3",
+    "dicke": "dicke:n=4,m=2",
+    "isotropic": "isotropic:d=3,F=0.7",
+    "werner": "werner:d=3,alpha=0.5",
+    "horodecki": "horodecki:a=0.3",
+    "huber_ppt": "huber_ppt:d=4",
+    "dicke_mixture": "dicke_mixture:n=4,k1=1,k2=2,r=0.3",
+    "two_by_d_theta": "two_by_d_theta:d=3,theta=1.2,xi=0.5",
+    "bhat": "bhat:d1=2,d2=2,d3=3",
+}
+
+BUILDERS = {"pure": canonical_pure, "mixed": canonical_mixed, "subspace": canonical_subspace}
+KINDS = {"pure": PureState, "mixed": DensityMatrix, "subspace": Subspace}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_every_family_agrees_with_the_table(name):
+    """A spec parses, builds an object of the kind spec_kind names, and only that builder accepts it."""
+    spec = parse_spec_string(FAMILY_EXAMPLES.get(name, name))
+    kind = spec_kind(spec)
+    assert isinstance(BUILDERS[kind](spec), KINDS[kind])
+    assert isinstance(spec, SubspaceSpec) == (kind == "subspace")
+    for other in set(BUILDERS) - {kind}:
+        with pytest.raises(StateError):
+            BUILDERS[other](spec)
+
+
+def test_readme_command_line_specs_name_real_families():
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh", 1)[1].split("```", 1)[0]
+    specs = re.findall(r'--(?:state|subspace)\s+"?([^\s"]+)', block)
+    assert specs
+    for text in specs:
+        if not text.endswith(".json"):
+            parse_spec_string(text)
 
 
 def test_oracle_values():

@@ -1,9 +1,21 @@
 """Multi-restart local minimization over trivialized parameter spaces.
 
-The default method is the limited-memory quasi-Newton optimizer; a plain
-momentum descent is available as a fallback.  Restarts are seeded as
-``seed + index`` so results are reproducible and independent of execution
-order.
+Restart i starts from ``default_rng(seed + i)``.  The restarts run in
+lock-step: each round advances every unfinished restart to its next request
+for a value and gradient, and one ``fun_grad`` call evaluates all of those
+points as one stacked ``(rows, input_len)`` block.  Every registered objective
+computes a row by the same floating-point operations whatever else shares the
+stack, so restart i follows exactly the iterates it would follow alone: the
+results do not depend on how many restarts run, nor on which of them are still
+running.
+
+The default method is scipy's L-BFGS-B, driven through the reverse-communication
+loop of its ``setulb`` routine with one workspace per restart, and with the
+options and stopping rules that ``scipy.optimize.minimize(method="L-BFGS-B")``
+applies.  An inner run that stops with iterations left and progress made is
+started afresh from its final point (new curvature memory), which keeps
+descending on ill-scaled objectives after a failed line search.  A plain
+momentum descent is available as a fallback; it steps the same stacked block.
 """
 
 from __future__ import annotations
@@ -11,9 +23,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import optimize as sopt
+from scipy.optimize import _lbfgsb
 
 from .states import StateError
+
+# setulb's options, as scipy.optimize.minimize(method="L-BFGS-B") passes them
+# for ftol=1e-18 and maxls=60; MAXFUN is scipy's default evaluation cap
+FACTR = 1e-18 / np.finfo(float).eps
+MAXLS = 60
+MAXFUN = 15000
+# setulb task codes: it needs f and g at x; it has taken a new iterate
+_FG, _NEW_X = 3, 1
 
 
 @dataclass(frozen=True)
@@ -44,16 +64,26 @@ class GmeEstimate:
     per_restart_values: np.ndarray
     converged: bool
     iterations_used: int
+    per_restart_iterations: np.ndarray  # sums to iterations_used
 
 
 @dataclass(frozen=True)
 class Objective:
-    """A registered objective: value and analytic gradient over flat parameters."""
+    """A registered objective: value and analytic gradient over flat parameters.
+
+    ``fun_grad`` maps parameters of shape (..., input_len) to values (...) and
+    gradients (..., input_len); ``fun`` and ``grad`` are its one-point views.
+    """
 
     name: str
     fun: callable
     grad: callable
     trivialization: object
+    fun_grad: callable = None
+
+    def __post_init__(self):
+        if self.fun_grad is None:
+            object.__setattr__(self, "fun_grad", _row_by_row(self.fun, self.grad))
 
     @property
     def input_len(self) -> int:
@@ -63,69 +93,164 @@ class Objective:
     def from_fun_grad(cls, name: str, fun_grad, trivialization) -> "Objective":
         """An objective whose value and gradient come from one joint evaluation."""
         fun, grad = _cached(fun_grad)
-        return cls(name, fun, grad, trivialization)
+        return cls(name, fun, grad, trivialization, fun_grad)
 
 
 def _cached(fun_grad):
-    """Split a joint evaluator into (fun, grad) sharing one last-point memo."""
+    """Split a stacked evaluator into one-point (fun, grad) sharing one last-point memo.
+
+    A point is evaluated as a stack of one row, so ``fun`` and ``grad`` return
+    exactly what the optimizer sees for that row.
+    """
     cache = {"theta": None, "out": None}
 
     def lookup(theta):
         theta = np.asarray(theta, dtype=float)
         if cache["theta"] is None or not np.array_equal(cache["theta"], theta):
             cache["theta"] = theta.copy()
-            cache["out"] = fun_grad(theta)
+            values, grads = fun_grad(theta[None])
+            cache["out"] = float(values[0]), grads[0]
         return cache["out"]
 
     return (lambda t: lookup(t)[0]), (lambda t: lookup(t)[1])
 
 
-def _run_lbfgs(obj: Objective, x0, config: OptimizerConfig):
-    # The solver may abandon a run on a failed line search long before the
-    # iteration budget is spent; restarting from the final point (with fresh
-    # curvature memory) keeps descending on ill-scaled objectives.
-    x = np.asarray(x0, dtype=float)
-    used = 0
-    fun_val = np.inf
-    grad_norm = np.inf
-    while used < config.max_iterations:
-        res = sopt.minimize(
-            obj.fun,
-            x,
-            jac=obj.grad,
-            method="L-BFGS-B",
-            options={
-                "maxiter": config.max_iterations - used,
-                "maxcor": config.memory_size,
-                "ftol": 1e-18,
-                "gtol": config.gradient_tolerance,
-                "maxls": 60,
-            },
-        )
-        used += max(int(res.nit), 1)
-        progress = fun_val - float(res.fun)
-        fun_val = float(res.fun)
-        x = np.asarray(res.x)
-        grad_norm = float(np.max(np.abs(res.jac))) if res.jac is not None else np.inf
-        if grad_norm <= config.gradient_tolerance or progress <= 1e-16:
-            break
-    converged = grad_norm <= max(config.gradient_tolerance, 1e-8)
-    return fun_val, x, converged, used
+def _row_by_row(fun, grad):
+    """A stacked evaluator for an objective given only one-point fun and grad."""
+
+    def fun_grad(theta):
+        rows = np.asarray(theta, dtype=float).reshape(-1, np.shape(theta)[-1])
+        values = np.array([fun(t) for t in rows], dtype=float)
+        grads = np.array([grad(t) for t in rows], dtype=float).reshape(rows.shape)
+        return values.reshape(np.shape(theta)[:-1]), grads.reshape(np.shape(theta))
+
+    return fun_grad
 
 
-def _run_momentum(obj: Objective, x0, config: OptimizerConfig):
-    x = np.asarray(x0, dtype=float).copy()
-    v = np.zeros_like(x)
-    converged = False
-    it = 0
-    for it in range(1, config.max_iterations + 1):
-        g = obj.grad(x)
+class _LbfgsbRun:
+    """One L-BFGS-B run of one restart, driven through setulb's reverse communication.
+
+    This is the loop of scipy's ``_minimize_lbfgsb`` without bounds, cut where it
+    calls the objective: ``advance`` returns True when setulb needs f and g at
+    ``x`` (handed back through ``tell``) and False once the run has stopped.
+    Evaluations are counted as scipy's ``ScalarFunction`` counts them.
+    """
+
+    def __init__(self, x0, maxiter: int, config: OptimizerConfig):
+        n, m = x0.size, config.memory_size
+        self.x = np.array(x0, dtype=float)
+        self.f = np.array(0.0)
+        self.g = np.zeros(n)
+        self.maxiter, self.m, self.pgtol = maxiter, m, config.gradient_tolerance
+        self.free = np.zeros(n)  # bounds, unused: nbd = 0 marks every variable free
+        self.nbd = np.zeros(n, np.int32)
+        self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+        self.iwa = np.zeros(3 * n, np.int32)
+        self.task = np.zeros(2, np.int32)
+        self.ln_task = np.zeros(2, np.int32)
+        self.lsave = np.zeros(4, np.int32)
+        self.isave = np.zeros(44, np.int32)
+        self.dsave = np.zeros(29)
+        self.nit = self.nfev = 0
+        self.last = None  # (x, f, g) of the latest evaluation
+
+    def advance(self) -> bool:
+        while True:
+            # a fresh copy each call, as scipy passes it: setulb may write into g
+            self.g = self.g.astype(np.float64)
+            _lbfgsb.setulb(self.m, self.x, self.free, self.free, self.nbd, self.f, self.g,
+                           FACTR, self.pgtol, self.wa, self.iwa, self.task, self.lsave,
+                           self.isave, self.dsave, MAXLS, self.ln_task)
+            if self.task[0] == _FG:
+                if self.last is None or not np.array_equal(self.x, self.last[0]):
+                    return True
+                _, self.f, self.g = self.last
+            elif self.task[0] == _NEW_X:
+                self.nit += 1
+                if self.nit >= self.maxiter:
+                    self.task[:] = 5, 504  # STOP: iteration limit
+                elif self.nfev > MAXFUN:
+                    self.task[:] = 5, 502  # STOP: evaluation limit
+            else:
+                return False
+
+    def tell(self, f, g):
+        self.nfev += 1
+        self.f, self.g = float(f), g
+        self.last = (self.x.copy(), self.f, g)
+
+
+class _LbfgsRestart:
+    """One restart: L-BFGS-B runs from its start, each new one from the last's final point."""
+
+    def __init__(self, x0, config: OptimizerConfig):
+        self.config = config
+        self.x, self.value, self.grad_norm, self.used = x0, np.inf, np.inf, 0
+        self._next_run()
+
+    def _next_run(self):
+        left = self.config.max_iterations - self.used
+        self.run = _LbfgsbRun(self.x, left, self.config) if left > 0 else None
+
+    @property
+    def point(self):
+        return self.run.x
+
+    @property
+    def converged(self) -> bool:
+        return self.grad_norm <= max(self.config.gradient_tolerance, 1e-8)
+
+    def wants_evaluation(self) -> bool:
+        """Advance to the next point that needs f and g; False once this restart is done."""
+        while self.run is not None:
+            if self.run.advance():
+                return True
+            run = self.run
+            self.used += max(run.nit, 1)
+            progress = self.value - float(run.f)
+            self.value, self.x = float(run.f), run.x
+            self.grad_norm = float(np.max(np.abs(run.g)))
+            if self.grad_norm <= self.config.gradient_tolerance or progress <= 1e-16:
+                self.run = None
+            else:
+                self._next_run()
+        return False
+
+    def tell(self, f, g):
+        self.run.tell(f, g)
+
+
+class _MomentumRestart:
+    """One restart of heavy-ball descent, stopped once max|g| <= gradient_tolerance.
+
+    After ``max_iterations`` steps without stopping, one more evaluation gives
+    the value at the final point.
+    """
+
+    def __init__(self, x0, config: OptimizerConfig):
+        self.config = config
+        self.x, self.v = np.array(x0, dtype=float), np.zeros(len(x0))
+        self.value, self.used = np.inf, 0
+        self.converged = self.finished = False
+
+    @property
+    def point(self):
+        return self.x
+
+    def wants_evaluation(self) -> bool:
+        return not self.finished
+
+    def tell(self, f, g):
+        config = self.config
+        if self.used == config.max_iterations:
+            self.value, self.finished = float(f), True
+            return
+        self.used += 1
         if np.max(np.abs(g)) <= config.gradient_tolerance:
-            converged = True
-            break
-        v = config.momentum * v + config.step_size * g
-        x = x - v
-    return float(obj.fun(x)), x, converged, it
+            self.value, self.converged, self.finished = float(f), True, True
+            return
+        self.v = config.momentum * self.v + config.step_size * g
+        self.x = self.x - self.v
 
 
 def minimize(obj: Objective, config: OptimizerConfig | None = None) -> GmeEstimate:
@@ -135,23 +260,23 @@ def minimize(obj: Objective, config: OptimizerConfig | None = None) -> GmeEstima
     by the lowest restart index, so the outcome does not depend on scheduling.
     """
     config = config or OptimizerConfig()
-    runner = _run_lbfgs if config.method == "lbfgs" else _run_momentum
-    values, params, convs = [], [], []
-    total_iter = 0
-    for i in range(config.restarts):
-        rng = np.random.default_rng(config.seed + i)
-        x0 = rng.standard_normal(obj.input_len)
-        val, x, conv, nit = runner(obj, x0, config)
-        values.append(val)
-        params.append(x)
-        convs.append(conv)
-        total_iter += nit
-    values = np.asarray(values)
+    kind = _LbfgsRestart if config.method == "lbfgs" else _MomentumRestart
+    restarts = [kind(np.random.default_rng(config.seed + i).standard_normal(obj.input_len), config)
+                for i in range(config.restarts)]
+    # lock-step: one stacked evaluation per round for every restart still running
+    active = restarts
+    while active := [r for r in active if r.wants_evaluation()]:
+        values, grads = obj.fun_grad(np.stack([r.point for r in active]))
+        for r, f, g in zip(active, values, grads):
+            r.tell(f, g)
+    values = np.array([r.value for r in restarts])
+    iterations = np.array([r.used for r in restarts])
     best = int(np.argmin(values))
     return GmeEstimate(
         value=float(values[best]),
-        best_params=params[best],
+        best_params=restarts[best].x,
         per_restart_values=values,
-        converged=bool(convs[best]),
-        iterations_used=total_iter,
+        converged=bool(restarts[best].converged),
+        iterations_used=int(iterations.sum()),
+        per_restart_iterations=iterations,
     )

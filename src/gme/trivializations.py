@@ -75,16 +75,21 @@ def unitary_from_reals(theta, n):
     return (vecs * np.exp(1j * vals)) @ vecs.conj().T
 
 
+def _adjoint(a):
+    """Conjugate transpose of the last two axes."""
+    return a.conj().swapaxes(-1, -2)
+
+
 def _gram_eigh(a, eps):
     """Eigenvectors, square-rooted eigenvalues and inverse square root of A^dag A + eps I."""
-    b = a.conj().T @ a + eps * np.eye(a.shape[1])
+    b = _adjoint(a) @ a + eps * np.eye(a.shape[-1])
     vals, vecs = np.linalg.eigh(b)
     sq = np.sqrt(vals)
-    return vecs, sq, (vecs / sq) @ vecs.conj().T
+    return vecs, sq, (vecs / sq[..., None, :]) @ _adjoint(vecs)
 
 
 def polar(a, eps=POLAR_EPS, return_gram=False):
-    """Regularized polar factor A (A^dag A + eps I)^(-1/2).
+    """Regularized polar factor A (A^dag A + eps I)^(-1/2), over the last two axes.
 
     With ``return_gram`` the Gram eigendata come back too, for ``polar_vjp``
     at the same point to reuse instead of a second eigendecomposition.
@@ -95,17 +100,18 @@ def polar(a, eps=POLAR_EPS, return_gram=False):
 
 
 def polar_vjp(a, g, eps=POLAR_EPS, gram=None):
-    """Cogradient through the regularized polar factor.
+    """Cogradient through the regularized polar factor, over the last two axes.
 
     Uses the Daleckii-Krein divided differences of t -> t^(-1/2) on the
     Gram-matrix eigenbasis; ``gram`` is what ``polar(a, eps, True)`` returned.
     """
     vecs, sq, inv_sqrt = _gram_eigh(a, eps) if gram is None else gram
     # divided differences of t^(-1/2): -1 / (sqrt(di dj) (sqrt(di) + sqrt(dj)))
-    w = -1.0 / (np.outer(sq, sq) * (sq[:, None] + sq[None, :]))
-    p = a.conj().T @ g
-    t = vecs @ (w * (vecs.conj().T @ p @ vecs)) @ vecs.conj().T
-    return g @ inv_sqrt + a @ (t + t.conj().T)
+    si, sj = sq[..., :, None], sq[..., None, :]
+    w = -1.0 / (si * sj * (si + sj))
+    p = _adjoint(a) @ g
+    t = vecs @ (w * (_adjoint(vecs) @ p @ vecs)) @ _adjoint(vecs)
+    return g @ inv_sqrt + a @ (t + _adjoint(t))
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +200,8 @@ class Stiefel:
         return 2 * self.n * self.r
 
     def matrix(self, theta):
-        return complex_from_reals(check_finite(theta)).reshape(self.n, self.r)
+        z = complex_from_reals(check_finite(theta))
+        return z.reshape(z.shape[:-1] + (self.n, self.r))
 
     def value(self, theta):
         return polar(self.matrix(theta))
@@ -346,9 +353,10 @@ class RoofAnsatz:
         return self.stiefel.input_len + self.n_entries * self.inner.input_len
 
     def split(self, theta):
+        """Stiefel parameters (..., 2 n r) and per-entry inner parameters (..., n, inner_len)."""
         theta = check_finite(theta)
         ns = self.stiefel.input_len
-        return theta[:ns], theta[ns:].reshape(self.n_entries, self.inner.input_len)
+        return theta[..., :ns], theta[..., ns:].reshape(theta.shape[:-1] + (self.n_entries, self.inner.input_len))
 
     def value(self, theta):
         th_x, th_inner = self.split(theta)

@@ -7,7 +7,7 @@ validated against central finite differences in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,13 +51,29 @@ class _Flat:
 
 # ---------------------------------------------------------------------------
 # registered objectives
+#
+# Every fun_grad maps parameters (..., input_len) to values (...) and gradients
+# (..., input_len), and computes each row by the same floating-point operations
+# whatever shares the stack: vector products run one BLAS dot or gemv per row
+# (one matrix product over the whole stack would pick its kernel by the row
+# count), and sums run over the last axis.
+
+
+def _inner(a, b):
+    """Row-wise <a|b> = sum conj(a) b over the last axis, one BLAS dot per row."""
+    return np.matmul(a.conj()[..., None, :], b[..., :, None])[..., 0, 0]
+
+
+def _apply(m, v):
+    """m @ v for every row v of a stack, one BLAS gemv per row."""
+    return np.matmul(m, v[..., :, None])[..., 0]
 
 
 def make_quadratic(center) -> Objective:
     c = np.asarray(center, dtype=float).ravel()
 
     def fun_grad(theta):
-        return float(np.sum((theta - c) ** 2)), 2.0 * (theta - c)
+        return np.sum((theta - c) ** 2, axis=-1), 2.0 * (theta - c)
 
     return Objective.from_fun_grad("quadratic", fun_grad, _Flat(c.size))
 
@@ -69,10 +85,10 @@ def make_rayleigh(h) -> Objective:
 
     def fun_grad(theta):
         z = complex_from_reals(theta)
-        h_z = h @ z
-        n = float(np.real(np.vdot(z, z)))
-        f = float(np.real(np.vdot(z, h_z)) / n)
-        return f, reals_from_cograd((h_z - f * z) / n)
+        h_z = _apply(h, z)
+        n = _inner(z, z).real
+        f = _inner(z, h_z).real / n
+        return f, reals_from_cograd((h_z - f[..., None] * z) / n[..., None])
 
     return Objective.from_fun_grad("rayleigh", fun_grad, Sphere(2 * d))
 
@@ -84,10 +100,11 @@ def make_pure_overlap(psi: PureState, k: int) -> Objective:
 
     def fun_grad(theta):
         phi = ansatz.value(theta)
-        c = np.vdot(phi, target)
-        n = float(np.real(np.vdot(phi, phi)))
-        g_phi = (abs(c) ** 2 / n**2) * phi - (np.conj(c) / n) * target
-        return float(-(abs(c) ** 2) / n), ansatz.vjp(theta, g_phi)
+        c = _inner(phi, target)
+        n = _inner(phi, phi).real
+        c2 = np.abs(c) ** 2
+        g_phi = (c2 / n**2)[..., None] * phi - (np.conj(c) / n)[..., None] * target
+        return -c2 / n, ansatz.vjp(theta, g_phi)
 
     return Objective.from_fun_grad("pure_overlap", fun_grad, ansatz)
 
@@ -101,10 +118,10 @@ def make_subspace_bounded_rank(subspace: Subspace, k: int) -> Objective:
 
     def fun_grad(theta):
         phi = ansatz.value(theta)
-        p_phi = proj @ phi
-        n = float(np.real(np.vdot(phi, phi)))
-        f = float(np.real(np.vdot(phi, p_phi)) / n)
-        return f, ansatz.vjp(theta, (p_phi - f * phi) / n)
+        p_phi = _apply(proj, phi)
+        n = _inner(phi, phi).real
+        f = _inner(phi, p_phi).real / n
+        return f, ansatz.vjp(theta, (p_phi - f[..., None] * phi) / n[..., None])
 
     return Objective.from_fun_grad("subspace_bounded_rank", fun_grad, ansatz)
 
@@ -116,8 +133,8 @@ def make_subspace_product(subspace: Subspace) -> Objective:
 
     def fun_grad(theta):
         phi = ansatz.value(theta)
-        p_phi = proj @ phi
-        return float(np.real(np.vdot(phi, p_phi))), ansatz.vjp(theta, p_phi)
+        p_phi = _apply(proj, phi)
+        return _inner(phi, p_phi).real, ansatz.vjp(theta, p_phi)
 
     return Objective.from_fun_grad("subspace_product", fun_grad, ansatz)
 
@@ -144,6 +161,7 @@ def make_mixed_roof(rho: DensityMatrix, inner, n_entries: int) -> Objective:
 
     def fun_grad(theta):
         th_x, th_inner = ansatz.split(theta)
+        lead = th_x.shape[:-1]
         a = stf.matrix(th_x)
         x, gram = polar(a, return_gram=True)
         psit = x @ lam_tilde.T  # row i: sum_j X_ij |lam_j~>
@@ -151,11 +169,14 @@ def make_mixed_roof(rho: DensityMatrix, inner, n_entries: int) -> Objective:
         c = np.sum(phi.conj() * psit, axis=-1)
         n = np.sum(phi.conj() * phi, axis=-1).real
         ratio = np.abs(c) ** 2 / n
-        g_phi = (ratio / n)[:, None] * phi - (np.conj(c) / n)[:, None] * psit
-        g_x = -((c / n)[:, None] * phi) @ lam_tilde.conj()
+        g_phi = (ratio / n)[..., None] * phi - (np.conj(c) / n)[..., None] * psit
+        g_x = -((c / n)[..., None] * phi) @ lam_tilde.conj()
         g_a = polar_vjp(a, g_x, gram=gram)
-        grad = np.concatenate([reals_from_cograd(g_a.ravel()), inner.vjp(th_inner, g_phi).ravel()])
-        return float(-np.sum(ratio)), grad
+        grad = np.concatenate(
+            [reals_from_cograd(g_a).reshape(lead + (-1,)), inner.vjp(th_inner, g_phi).reshape(lead + (-1,))],
+            axis=-1,
+        )
+        return -np.sum(ratio, axis=-1), grad
 
     return Objective.from_fun_grad("mixed_roof", fun_grad, ansatz)
 
@@ -183,14 +204,7 @@ def gradient(objective: Objective, theta) -> np.ndarray:
 
 def _as_gme(est: GmeEstimate, offset: float) -> GmeEstimate:
     per = np.clip(offset + est.per_restart_values, 0.0, None)
-    best = int(np.argmin(per))
-    return GmeEstimate(
-        value=float(per[best]),
-        best_params=est.best_params,
-        per_restart_values=per,
-        converged=est.converged,
-        iterations_used=est.iterations_used,
-    )
+    return replace(est, value=float(per.min()), per_restart_values=per)
 
 
 def kgme_pure_multipartite(

@@ -92,6 +92,34 @@ def test_mixed_roof_gradients():
     check_points(obj_multi3, 5, seed=9)
 
 
+def _objectives():
+    rho = isotropic_state(3, 0.7)
+    upb = upb_shifts_state()
+    h = np.diag(np.arange(4.0)) + 0.5j * np.eye(4, k=1) - 0.5j * np.eye(4, k=-1)
+    return {
+        "quadratic": make_quadratic([1.0, -2.0]),
+        "rayleigh": make_rayleigh(h),
+        "pure_overlap": make_pure_overlap(ghz_state(), 2),
+        "subspace_bounded_rank": make_subspace_bounded_rank(johnston_subspace(), 2),
+        "subspace_product": make_subspace_product(shifts_complement_subspace()),
+        "roof_bipartite": make_mixed_roof(rho, BoundedRankAnsatz(rho.dims, 2), 10),
+        "roof_product": make_mixed_roof(upb, ProductAnsatz(upb.dims), 5),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_objectives()))
+def test_fun_grad_acts_on_stacks(name):
+    """fun_grad maps (..., input_len) to values (...) and gradients (..., input_len);
+    each row equals the one-point fun and grad exactly."""
+    obj = _objectives()[name]
+    theta = np.random.default_rng(10).standard_normal((2, 3, obj.input_len))
+    values, grads = obj.fun_grad(theta)
+    assert values.shape == (2, 3) and grads.shape == theta.shape
+    for idx in np.ndindex(2, 3):
+        assert values[idx] == obj.fun(theta[idx])
+        np.testing.assert_array_equal(grads[idx], obj.grad(theta[idx]))
+
+
 def test_unregistered_objective_rejected():
     fake = Objective("mystery", lambda t: 0.0, lambda t: t, None)
     with pytest.raises(StateError):

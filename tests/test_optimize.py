@@ -1,11 +1,23 @@
 """Multi-restart minimization: accuracy, determinism, both methods."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from scipy import optimize as sopt
 
-from gme.optimizers import OptimizerConfig, minimize
+from gme.optimizers import Objective, OptimizerConfig, minimize
 from gme.states import StateError
-from gme.variational import make_quadratic, make_rayleigh
+from gme.trivializations import BoundedRankAnsatz, ProductAnsatz
+from gme.variational import (
+    kgme_pure_multipartite,
+    make_mixed_roof,
+    make_pure_overlap,
+    make_quadratic,
+    make_rayleigh,
+    make_subspace_product,
+)
+from gme.zoo import dicke_state, ghz_state, isotropic_state, shifts_complement_subspace, upb_shifts_state
 
 
 def test_quadratic_minimum():
@@ -56,3 +68,109 @@ def test_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(StateError):
         OptimizerConfig(method="adam")
+
+
+# ---------------------------------------------------------------------------
+# lock-step restarts
+
+
+def _scipy_restarts(obj, config):
+    """Per-restart values, iterations and final points from scipy's public L-BFGS-B.
+
+    The reference the lock-step driver must reproduce: one
+    ``scipy.optimize.minimize`` loop per restart on the one-point ``fun``/``grad``,
+    restarted from its final point while iterations are left and it progresses.
+    """
+    values, iterations, points = [], [], []
+    for i in range(config.restarts):
+        x = np.random.default_rng(config.seed + i).standard_normal(obj.input_len)
+        used, fun_val = 0, np.inf
+        while used < config.max_iterations:
+            res = sopt.minimize(
+                obj.fun, x, jac=obj.grad, method="L-BFGS-B",
+                options={"maxiter": config.max_iterations - used, "maxcor": config.memory_size,
+                         "ftol": 1e-18, "gtol": config.gradient_tolerance, "maxls": 60},
+            )
+            used += max(int(res.nit), 1)
+            progress, fun_val, x = fun_val - float(res.fun), float(res.fun), res.x
+            if np.max(np.abs(res.jac)) <= config.gradient_tolerance or progress <= 1e-16:
+                break
+        values.append(fun_val)
+        iterations.append(used)
+        points.append(x)
+    return np.array(values), np.array(iterations), points
+
+
+def _lockstep_problems():
+    iso = isotropic_state(3, 0.7)
+    upb = upb_shifts_state()
+    m = np.random.default_rng(3).standard_normal((6, 6)) * (1 + 1j)
+    return {
+        "roof_bipartite": (make_mixed_roof(iso, BoundedRankAnsatz(iso.dims, 2), 10),
+                           OptimizerConfig(restarts=3, max_iterations=60, seed=2)),
+        "roof_upb": (make_mixed_roof(upb, ProductAnsatz(upb.dims), 5),
+                     OptimizerConfig(restarts=3, max_iterations=60, seed=4)),
+        "pure_overlap": (make_pure_overlap(dicke_state(4, 1), 3),
+                         OptimizerConfig(restarts=2, max_iterations=300, seed=0)),
+        "subspace_product": (make_subspace_product(shifts_complement_subspace()),
+                             OptimizerConfig(restarts=3, max_iterations=200, seed=6)),
+        # every restart's first run stops early and is restarted from its final point
+        "rayleigh": (make_rayleigh(m + m.conj().T), OptimizerConfig(restarts=4, seed=8)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_lockstep_problems()))
+def test_lockstep_matches_scipy_minimize(name):
+    """Lock-step L-BFGS-B equals scipy.optimize.minimize restart by restart, exactly.
+
+    Tolerance 0: the driver runs the setulb routine scipy's minimize runs, with
+    the same options and stopping rules, on the same evaluations.  A change to
+    that private interface fails here instead of changing results silently.
+    """
+    obj, config = _lockstep_problems()[name]
+    values, iterations, points = _scipy_restarts(obj, config)
+    est = minimize(obj, config)
+    np.testing.assert_array_equal(est.per_restart_values, values)
+    np.testing.assert_array_equal(est.per_restart_iterations, iterations)
+    np.testing.assert_array_equal(est.best_params, points[int(np.argmin(values))])
+
+
+def _assert_rows_independent(obj, config):
+    """Row i of a run equals a one-restart run at seed + i, exactly."""
+    est = minimize(obj, config)
+    alone = [minimize(obj, config.with_(restarts=1, seed=config.seed + i)) for i in range(config.restarts)]
+    np.testing.assert_array_equal(est.per_restart_values, [a.value for a in alone])
+    np.testing.assert_array_equal(est.per_restart_iterations, [a.iterations_used for a in alone])
+    np.testing.assert_array_equal(est.best_params, alone[int(np.argmin(est.per_restart_values))].best_params)
+    return est
+
+
+@pytest.mark.parametrize("name", ["roof_bipartite", "pure_overlap"])
+def test_restart_rows_are_independent_lbfgs(name):
+    """Tolerance 0: a row's evaluations do not depend on the rows beside it."""
+    obj, config = _lockstep_problems()[name]
+    _assert_rows_independent(obj, config.with_(restarts=3))
+
+
+def test_restart_rows_are_independent_momentum():
+    """Tolerance 0, with rows that stop at different steps."""
+    config = OptimizerConfig(method="momentum", restarts=3, max_iterations=2000,
+                             step_size=0.05, gradient_tolerance=1e-9, seed=11)
+    est = _assert_rows_independent(make_quadratic([1.0, -2.0, 0.5]), config)
+    assert len(set(est.per_restart_iterations.tolist())) > 1
+
+
+def test_per_restart_iterations_sum_to_total():
+    est = kgme_pure_multipartite(ghz_state(), 2, OptimizerConfig(restarts=3, max_iterations=100))
+    assert est.per_restart_iterations.shape == (3,)
+    assert int(est.per_restart_iterations.sum()) == est.iterations_used
+
+
+def test_objective_from_one_point_functions():
+    """An Objective built from fun and grad alone is minimized row by row."""
+    c = np.array([3.0, -1.0])
+    obj = Objective("q", lambda t: float(np.sum((t - c) ** 2)), lambda t: 2.0 * (t - c),
+                    SimpleNamespace(input_len=2))
+    config = OptimizerConfig(restarts=2)
+    np.testing.assert_array_equal(minimize(obj, config).per_restart_values,
+                                  minimize(make_quadratic(c), config).per_restart_values)

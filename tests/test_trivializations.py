@@ -17,6 +17,7 @@ from gme.trivializations import (
     complex_from_reals,
     make_trivialization,
     polar,
+    polar_vjp,
     trivialize,
 )
 
@@ -99,6 +100,17 @@ def test_polar_minimality_vector_case():
     rng = np.random.default_rng(11)
     a = rng.standard_normal((5, 1)) + 1j * rng.standard_normal((5, 1))
     np.testing.assert_allclose(polar(a), a / np.linalg.norm(a), atol=1e-9)
+
+
+def test_polar_and_its_vjp_act_on_stacks():
+    """Leading axes are a batch: each matrix of a stack gets its own result, exactly."""
+    rng = np.random.default_rng(13)
+    a, g = (rng.standard_normal((2, 3, 5, 4)) + 1j * rng.standard_normal((2, 3, 5, 4)) for _ in range(2))
+    x, gram = polar(a, return_gram=True)
+    cog = polar_vjp(a, g, gram=gram)
+    for idx in np.ndindex(2, 3):
+        np.testing.assert_array_equal(x[idx], polar(a[idx]))
+        np.testing.assert_array_equal(cog[idx], polar_vjp(a[idx], g[idx]))
 
 
 def test_polar_minimality_sampling():

@@ -3,22 +3,44 @@
 Samples reduced-spectrum data, derives the k-bounded measures and the
 distillation success probabilities per sample, and emits CSV files: one row
 per sample plus histograms with analytic densities where closed forms exist.
+
+Sample i of a run seeded with ``seed`` is ``sample_haar_pure(dims, seed + i)``
+bit for bit, drawn without building a generator per sample.  NumPy fixes
+(NEP 19) how ``default_rng(s)`` seeds its PCG64: ``SeedSequence(s)`` hashes
+the 32-bit words of s into a four-word pool and hashes the pool into four
+64-bit words, which ``pcg_setseq_128_srandom_r`` turns into the 128-bit
+(state, inc) pair.  ``_pcg64_seed_states`` runs the hashes for a whole run of
+seeds as uint32 array arithmetic and the last step on Python integers; each
+sample's normals are then drawn from one reused generator whose state is
+assigned.  Every call compares its first derived state with
+``np.random.PCG64(seed).state``, so a change in NumPy's seeding raises instead
+of drawing different samples.
 """
 
 from __future__ import annotations
 
 import csv
+import operator
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .pure import distill_curve
-from .states import NORM_ATOL, StateError, _as_dims
+from .states import NORM_ATOL, StateError, _as_dims, check_seed
 from .zoo import haar_eg2_density_d4, haar_egd_density, haar_psucc_full_density
 
 
 CHUNK = 8192  # samples held in memory at once; the outputs do not depend on it
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -34,6 +56,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_samples < 1:
             raise StateError("need at least one sample")
+        check_seed(self.seed)
         dims = _as_dims(self.dims)
         if len(dims) != 2:
             raise StateError("the Haar experiment is defined for bipartite layouts")
@@ -46,21 +69,109 @@ class ExperimentConfig:
             raise StateError(f"need at least one histogram bin, got {self.n_bins}")
 
 
+def _entropy_words(first: int, n: int, width: int) -> np.ndarray:
+    """32-bit little-endian words (n, width) of the integers first, ..., first + n - 1."""
+    low = np.uint64(first & _MASK32) + np.arange(n, dtype=np.uint64)
+    words = np.empty((n, width), dtype=np.uint32)
+    words[:, 0] = low  # keeps the low 32 bits
+    carry = low >> np.uint64(32)
+    for c in range(int(carry[-1]) + 1):
+        high = (first >> 32) + c
+        words[carry == c, 1:] = [(high >> (32 * j)) & _MASK32 for j in range(width - 1)]
+    return words
+
+
+def _seed_sequence_words(words: np.ndarray) -> list[np.ndarray]:
+    """``SeedSequence(entropy).generate_state(4, np.uint64)`` per row of entropy words.
+
+    Returns the four uint64 output words as four arrays over the rows.  A row
+    shorter than the pool is zero-padded, which hashes exactly as SeedSequence
+    hashes a short entropy; words past the pool are mixed in afterwards.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = (hash_const * _MULT_A) & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    with np.errstate(over="ignore"):
+        pool = [hashmix(words[:, i]) for i in range(_POOL_WORDS)]
+        for i_src in range(_POOL_WORDS):
+            for i_dst in range(_POOL_WORDS):
+                if i_src != i_dst:
+                    pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+        for i_src in range(_POOL_WORDS, words.shape[1]):
+            for i_dst in range(_POOL_WORDS):
+                pool[i_dst] = mix(pool[i_dst], hashmix(words[:, i_src]))
+        hash_const = _INIT_B
+        out = []
+        for i in range(2 * 4):  # four uint64 words, low 32 bits first
+            value = pool[i % _POOL_WORDS] ^ np.uint32(hash_const)
+            hash_const = (hash_const * _MULT_B) & _MASK32
+            value = value * np.uint32(hash_const)
+            out.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
+    return [lo | (hi << np.uint64(32)) for lo, hi in zip(out[0::2], out[1::2])]
+
+
+def _pcg64_seed_states(first: int, n: int):
+    """Yield the (state, inc) of ``np.random.PCG64(first + i)`` for i < n.
+
+    Seeds of one entropy length (four words for every seed below 2^128) are
+    hashed as one array; the first state of each such run is checked against
+    NumPy's own seeding.
+    """
+    stop = first + n
+    while first < stop:
+        width = max(_POOL_WORDS, -(-first.bit_length() // 32))
+        run_stop = min(stop, 1 << (32 * width))
+        s0, s1, i0, i1 = (w.tolist() for w in _seed_sequence_words(_entropy_words(first, run_stop - first, width)))
+        for j, (a, b, c, d) in enumerate(zip(s0, s1, i0, i1)):
+            # pcg_setseq_128_srandom_r: inc = 2 seq + 1, then two LCG steps around adding the seed
+            inc = (((c << 64) | d) << 1 | 1) & _MASK128
+            state = ((inc + ((a << 64) | b)) * _PCG64_MULT + inc) & _MASK128
+            if j == 0 and np.random.PCG64(first).state["state"] != {"state": state, "inc": inc}:
+                raise RuntimeError(f"derived PCG64 state for seed {first} differs from NumPy's seeding")
+            yield state, inc
+        first = run_stop
+
+
 def haar_sample_spectra(dims, n_samples: int, seed: int) -> np.ndarray:
     """Reduced spectra (rows sorted non-increasing) of seeded Haar samples.
 
-    Row i is the spectrum of ``sample_haar_pure(dims, seed + i)`` bit for bit:
-    one draw of 2d normals equals that function's two draws of d, and each row
-    is normalized by its own 1-D norm.  So the rows do not depend on batching
-    and a run may be split into chunks at any sample.
+    Row i is the spectrum of ``sample_haar_pure(dims, seed + i)`` bit for bit,
+    so the rows do not depend on batching and a run may be split into chunks
+    at any sample:
+
+    * the row's 2d normals come from a generator in the state that
+      ``default_rng(seed + i)`` starts in (see the module docstring), and one
+      draw of 2d normals equals that function's two draws of d;
+    * each row is divided by the square root of its squared norm, computed by
+      ``np.matmul`` over the stacked 1 x d by d x 1 products of the real and
+      imaginary parts: per row, the same strided BLAS dot that
+      ``np.linalg.norm`` runs on a complex vector.
     """
     d_a, d_b = _as_dims(dims)
+    seed = check_seed(operator.index(seed))
     raw = np.empty((n_samples, 2, d_a * d_b))
-    for i in range(n_samples):
-        np.random.default_rng(seed + i).standard_normal(out=raw[i])
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    # one generator for every row, set to the state default_rng(seed + i) starts in
+    pcg = {"state": 0, "inc": 0}
+    start = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+    for row, (pcg["state"], pcg["inc"]) in zip(raw, _pcg64_seed_states(seed, n_samples)):
+        bits.state = start
+        gen.standard_normal(out=row)
     z = raw[:, 0] + 1j * raw[:, 1]
-    for row in z:
-        row /= np.linalg.norm(row)
+    re, im = z.real, z.imag
+    sq = np.matmul(re[:, None, :], re[:, :, None]) + np.matmul(im[:, None, :], im[:, :, None])
+    z /= np.sqrt(sq[:, :, 0])
     err = np.abs(np.linalg.norm(z, axis=1) - 1.0)
     if np.any(err > NORM_ATOL):
         raise StateError(f"state norm off 1 by {err.max()!r}, above {NORM_ATOL}")

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.optimize import _lbfgsb
 
-from .states import StateError
+from .states import StateError, check_seed
 
 # setulb's options, as scipy.optimize.minimize(method="L-BFGS-B") passes them
 # for ftol=1e-18 and maxls=60; MAXFUN is scipy's default evaluation cap
@@ -52,6 +52,7 @@ class OptimizerConfig:
             raise StateError("need at least one restart")
         if self.method not in ("lbfgs", "momentum"):
             raise StateError(f"unknown optimizer method {self.method!r}")
+        check_seed(self.seed)
 
     def with_(self, **kwargs) -> "OptimizerConfig":
         return replace(self, **kwargs)

@@ -33,6 +33,13 @@ def total_dim(dims) -> int:
     return int(math.prod(dims)) if len(dims) else 1
 
 
+def check_seed(seed):
+    """Pass an integer seed through; a negative one, which ``default_rng`` refuses, raises."""
+    if seed < 0:
+        raise StateError(f"seed must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _check_parties(dims, parties) -> tuple[int, ...]:
     parties = tuple(sorted(set(int(p) for p in parties)))
     if not parties:
@@ -329,7 +336,7 @@ def sample_haar_pure(dims, seed) -> PureState:
     ``seed`` may be an integer or a caller-owned ``np.random.Generator``.
     """
     dims = _as_dims(dims)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(check_seed(seed))
     d = total_dim(dims)
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(z / np.linalg.norm(z), dims)

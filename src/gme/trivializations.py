@@ -200,11 +200,12 @@ class Stiefel:
         return 2 * self.n * self.r
 
     def matrix(self, theta):
-        z = complex_from_reals(check_finite(theta))
+        """The n x r complex matrix of the parameters, unchecked (``value`` checks them)."""
+        z = complex_from_reals(theta)
         return z.reshape(z.shape[:-1] + (self.n, self.r))
 
     def value(self, theta):
-        return polar(self.matrix(theta))
+        return polar(self.matrix(check_finite(theta)))
 
 
 # every letter but t, the term axis: one einsum axis per party
@@ -258,7 +259,6 @@ class _ProductTerms:
     def _parts(self, theta):
         """Term blocks (..., terms, term_len), weights (..., terms), and the party
         factors side by side (..., terms, sum(dims)): unit factors and their norms."""
-        theta = check_finite(theta)
         blocks = theta.reshape(theta.shape[:-1] + (self.terms, self.term_len))
         w = softplus(blocks[..., 0]) if self.weighted else np.ones(blocks.shape[:-1])
         x = blocks[..., int(self.weighted) :]
@@ -269,34 +269,46 @@ class _ProductTerms:
     def _split_parties(self, units):
         return [units[..., a : a + d] for a, d in zip(self._starts, self.dims)]
 
+    def value_and_pullback(self, theta, checked=False):
+        """The summed vector at theta, and the map from its cogradient g to the
+        real-parameter gradient; both share one pass over the parameters.
+
+        ``checked`` says theta is a float array already known to be finite (a
+        caller that checked a larger parameter vector it belongs to).
+        """
+        blocks, w, units, norms = self._parts(theta if checked else check_finite(theta))
+        value_spec, cog_specs = _einsum_specs(len(self.dims))
+        vec = np.einsum(value_spec, w, *self._split_parties(units))
+        vec = vec.reshape(vec.shape[: vec.ndim - len(self.dims)] + (-1,))
+
+        def pullback(g):
+            conj = units.conj()
+            factors = self._split_parties(conj)
+            g = np.asarray(g).reshape(np.shape(g)[:-1] + tuple(self.dims))
+            # party j's block of c: g contracted with the conjugate factors of every other party
+            ones = np.ones_like(w)
+            c = np.concatenate(
+                [np.einsum(spec, ones, *factors[:j], *factors[j + 1 :], g) for j, spec in enumerate(cog_specs)],
+                axis=-1,
+            )
+            # every party's column of `overlap` is Re <term_t, g>
+            overlap = np.add.reduceat(np.real(conj * c), self._starts, axis=-1)
+            # through each party's normalization f = z / ||z||
+            cog = w[..., None] * (c - units * np.repeat(overlap, self.dims, axis=-1)) / norms
+            grad = reals_from_cograd(cog)
+            if self.weighted:
+                # d(vec) = term_t d(w_t): real derivative 2 Re <term_t, g>
+                grad = np.concatenate([softplus_vjp(blocks[..., :1], 2.0 * overlap[..., :1]), grad], axis=-1)
+            return grad.reshape(blocks.shape[:-2] + (-1,))
+
+        return vec, pullback
+
     def value(self, theta):
-        _, w, units, _ = self._parts(theta)
-        spec, _ = _einsum_specs(len(self.dims))
-        vec = np.einsum(spec, w, *self._split_parties(units))
-        return vec.reshape(vec.shape[: vec.ndim - len(self.dims)] + (-1,))
+        return self.value_and_pullback(theta)[0]
 
     def vjp(self, theta, g):
         """Real-parameter gradient from the cogradient g of the summed vector."""
-        blocks, w, units, norms = self._parts(theta)
-        _, specs = _einsum_specs(len(self.dims))
-        conj = units.conj()
-        factors = self._split_parties(conj)
-        g = np.asarray(g).reshape(np.shape(g)[:-1] + tuple(self.dims))
-        # party j's block of c: g contracted with the conjugate factors of every other party
-        ones = np.ones_like(w)
-        c = np.concatenate(
-            [np.einsum(spec, ones, *factors[:j], *factors[j + 1 :], g) for j, spec in enumerate(specs)],
-            axis=-1,
-        )
-        # every party's column of `overlap` is Re <term_t, g>
-        overlap = np.add.reduceat(np.real(conj * c), self._starts, axis=-1)
-        # through each party's normalization f = z / ||z||
-        cog = w[..., None] * (c - units * np.repeat(overlap, self.dims, axis=-1)) / norms
-        grad = reals_from_cograd(cog)
-        if self.weighted:
-            # d(vec) = term_t d(w_t): real derivative 2 Re <term_t, g>
-            grad = np.concatenate([softplus_vjp(blocks[..., :1], 2.0 * overlap[..., :1]), grad], axis=-1)
-        return grad.reshape(blocks.shape[:-2] + (-1,))
+        return self.value_and_pullback(theta)[1](g)
 
 
 @dataclass(frozen=True)

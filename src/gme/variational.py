@@ -99,12 +99,12 @@ def make_pure_overlap(psi: PureState, k: int) -> Objective:
     target = psi.amplitudes
 
     def fun_grad(theta):
-        phi = ansatz.value(theta)
+        phi, pullback = ansatz.value_and_pullback(theta)
         c = _inner(phi, target)
         n = _inner(phi, phi).real
         c2 = np.abs(c) ** 2
         g_phi = (c2 / n**2)[..., None] * phi - (np.conj(c) / n)[..., None] * target
-        return -c2 / n, ansatz.vjp(theta, g_phi)
+        return -c2 / n, pullback(g_phi)
 
     return Objective.from_fun_grad("pure_overlap", fun_grad, ansatz)
 
@@ -117,11 +117,11 @@ def make_subspace_bounded_rank(subspace: Subspace, k: int) -> Objective:
     proj = subspace.complement.matrix
 
     def fun_grad(theta):
-        phi = ansatz.value(theta)
+        phi, pullback = ansatz.value_and_pullback(theta)
         p_phi = _apply(proj, phi)
         n = _inner(phi, phi).real
         f = _inner(phi, p_phi).real / n
-        return f, ansatz.vjp(theta, (p_phi - f[..., None] * phi) / n[..., None])
+        return f, pullback((p_phi - f[..., None] * phi) / n[..., None])
 
     return Objective.from_fun_grad("subspace_bounded_rank", fun_grad, ansatz)
 
@@ -132,9 +132,9 @@ def make_subspace_product(subspace: Subspace) -> Objective:
     proj = subspace.complement.matrix
 
     def fun_grad(theta):
-        phi = ansatz.value(theta)
+        phi, pullback = ansatz.value_and_pullback(theta)
         p_phi = _apply(proj, phi)
-        return _inner(phi, p_phi).real, ansatz.vjp(theta, p_phi)
+        return _inner(phi, p_phi).real, pullback(p_phi)
 
     return Objective.from_fun_grad("subspace_product", fun_grad, ansatz)
 
@@ -165,7 +165,7 @@ def make_mixed_roof(rho: DensityMatrix, inner, n_entries: int) -> Objective:
         a = stf.matrix(th_x)
         x, gram = polar(a, return_gram=True)
         psit = x @ lam_tilde.T  # row i: sum_j X_ij |lam_j~>
-        phi = inner.value(th_inner)
+        phi, pullback = inner.value_and_pullback(th_inner, checked=True)
         c = np.sum(phi.conj() * psit, axis=-1)
         n = np.sum(phi.conj() * phi, axis=-1).real
         ratio = np.abs(c) ** 2 / n
@@ -173,7 +173,7 @@ def make_mixed_roof(rho: DensityMatrix, inner, n_entries: int) -> Objective:
         g_x = -((c / n)[..., None] * phi) @ lam_tilde.conj()
         g_a = polar_vjp(a, g_x, gram=gram)
         grad = np.concatenate(
-            [reals_from_cograd(g_a).reshape(lead + (-1,)), inner.vjp(th_inner, g_phi).reshape(lead + (-1,))],
+            [reals_from_cograd(g_a).reshape(lead + (-1,)), pullback(g_phi).reshape(lead + (-1,))],
             axis=-1,
         )
         return -np.sum(ratio, axis=-1), grad

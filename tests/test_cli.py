@@ -223,6 +223,16 @@ def test_haar_refuses_non_integer_dims(capsys, tmp_path):
     assert not (tmp_path / "samples.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [("haar", "--samples", "10", "--seed", "-1"), ("pure", "--state", "ghz", "--k", "2", "--seed", "-1")]
+)
+def test_negative_seed_exits_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and "seed" in err
+    assert not any(tmp_path.iterdir())
+
+
 def test_convert_roundtrip(capsys, tmp_path):
     out_file = tmp_path / "bell.json"
     code, out, _ = run_cli(capsys, "convert", "--state", "bell", "--out", str(out_file))

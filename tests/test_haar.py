@@ -5,6 +5,7 @@ import csv
 import numpy as np
 import pytest
 
+from gme import haar
 from gme.haar import CHUNK, ExperimentConfig, distill_success, haar_experiment, haar_sample_spectra, tail_measures
 from gme.states import StateError, sample_haar_pure
 from gme.zoo import haar_eg2_density_d4, haar_egd_density, haar_psucc_full_density
@@ -21,6 +22,31 @@ def test_sample_spectra_match_single_samples(dims):
     for i in (0, CHUNK - 1, CHUNK, n - 1):
         amps = sample_haar_pure(dims, seed + i).amplitudes.reshape(dims)
         np.testing.assert_array_equal(lam[i], np.linalg.svd(amps, compute_uv=False) ** 2)
+
+
+@pytest.mark.parametrize("seed0", [0, 2**32 - 3, 2**64 - 3, 2**128 - 3])
+def test_seeding_across_word_boundaries(seed0):
+    """The derived PCG64 states are NumPy's, and the rows stay bit-identical, where seeds gain a 32-bit word."""
+    n = 6
+    for i, (state, inc) in enumerate(haar._pcg64_seed_states(seed0, n)):
+        assert np.random.PCG64(seed0 + i).state["state"] == {"state": state, "inc": inc}
+    lam = haar_sample_spectra((4, 4), n, seed0)
+    for i in range(n):
+        amps = sample_haar_pure((4, 4), seed0 + i).amplitudes.reshape(4, 4)
+        np.testing.assert_array_equal(lam[i], np.linalg.svd(amps, compute_uv=False) ** 2)
+
+
+def test_seeding_self_check_raises_on_a_wrong_state(monkeypatch):
+    monkeypatch.setattr(haar, "_PCG64_MULT", haar._PCG64_MULT + 2)
+    with pytest.raises(RuntimeError, match="differs from NumPy's seeding"):
+        haar_sample_spectra((2, 2), 3, 5)
+
+
+def test_negative_seed_refused():
+    with pytest.raises(StateError, match="seed"):
+        haar_sample_spectra((2, 2), 3, -1)
+    with pytest.raises(StateError, match="seed"):
+        sample_haar_pure((2, 2), -1)
 
 
 def _reference_experiment(config):

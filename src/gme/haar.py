@@ -15,11 +15,18 @@ sample's normals are then drawn from one reused generator whose state is
 assigned.  Every call compares its first derived state with
 ``np.random.PCG64(seed).state``, so a change in NumPy's seeding raises instead
 of drawing different samples.
+
+``haar_experiment`` runs its chunks on the CPUs in the process's affinity
+mask, one forked worker per CPU, and writes their rows in chunk order: the
+outputs do not depend on how many CPUs run them.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import csv
+import functools
 import operator
 import os
 from dataclasses import dataclass
@@ -228,12 +235,66 @@ def _histogram_rows(name, counts, n_samples, edges, analytic):
     return rows
 
 
+def _available_cpus() -> int:
+    """The number of CPUs in this process's affinity mask (all CPUs where there are no masks)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _chunk_rows(dims, seed, k_values, m_values, edges, start, stop):
+    """CSV text of samples start, ..., stop - 1 and their histogram counts, one array per column."""
+    lam = haar_sample_spectra(dims, stop - start, seed + start)
+    measures = tail_measures(lam, k_values)
+    columns = [measures[k] for k in k_values] + [distill_success(lam, m) for m in m_values]
+    counts = [np.histogram(col, bins=e)[0] for col, e in zip(columns, edges)]
+    text = map(",".join, zip(map(str, range(start, stop)), *(map(repr, col.tolist()) for col in columns)))
+    return "\n".join(text) + "\n", counts
+
+
+def _map_chunks(work, starts, stops):
+    """Yield ``work(start, stop)`` per chunk, in chunk order, over a pool of forked workers.
+
+    One worker per available CPU, never more than there are chunks, and at most
+    two chunks per worker in flight.  With one worker, or where the platform
+    cannot fork, the chunks run in this process.  A worker's exception is
+    raised here with its own type; closing the generator cancels the pending
+    chunks and joins every worker.
+    """
+    workers = min(_available_cpus(), len(starts))
+    if workers > 1:
+        import multiprocessing
+
+        if "fork" not in multiprocessing.get_all_start_methods():
+            workers = 1
+    if workers < 2:
+        yield from map(work, starts, stops)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    # fork, not spawn: a spawned worker would import numpy and gme again
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        pending = collections.deque()
+        for start, stop in zip(starts, stops):
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(work, start, stop))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def haar_experiment(config: ExperimentConfig) -> tuple[str, str]:
     """Run the sampling experiment; returns (samples_csv, histogram_csv) paths.
 
-    Samples stream through chunks of ``CHUNK``: each chunk's rows are written
-    and its values binned before the next is drawn, so memory does not grow
-    with ``n_samples``.
+    Samples stream through chunks of ``CHUNK``, which run on the CPUs in the
+    process's affinity mask (see ``_map_chunks``).  The rows are written in
+    chunk order and the histogram counts summed as integers, so the outputs do
+    not depend on how many CPUs run the chunks, and memory does not grow with
+    ``n_samples``.
     """
     dims = tuple(config.dims)
     k_values = tuple(config.k_values) or tuple(range(2, min(dims) + 1))
@@ -241,23 +302,23 @@ def haar_experiment(config: ExperimentConfig) -> tuple[str, str]:
     specs = _histogram_specs(dims, k_values, m_values)
     edges = [np.linspace(0.0, hi, config.n_bins + 1) for _, hi, _ in specs]
     counts = [np.zeros(config.n_bins, dtype=np.int64) for _ in specs]
+    work = functools.partial(_chunk_rows, dims, config.seed, k_values, m_values, edges)
+    starts = range(0, config.n_samples, CHUNK)
+    stops = [min(start + CHUNK, config.n_samples) for start in starts]
 
     os.makedirs(config.out_dir, exist_ok=True)
     samples_path = os.path.join(config.out_dir, "samples.csv")
     hist_path = os.path.join(config.out_dir, "histogram.csv")
 
     header = ["sample_index"] + [name for name, _, _ in specs]
-    with open(samples_path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(samples_path, "w", encoding="utf-8", newline="\n") as fh, contextlib.closing(
+        _map_chunks(work, starts, stops)
+    ) as chunks:
         fh.write(",".join(header) + "\n")
-        for start in range(0, config.n_samples, CHUNK):
-            stop = min(start + CHUNK, config.n_samples)
-            lam = haar_sample_spectra(dims, stop - start, config.seed + start)
-            measures = tail_measures(lam, k_values)
-            columns = [measures[k] for k in k_values] + [distill_success(lam, m) for m in m_values]
-            for col, e, c in zip(columns, edges, counts):
-                c += np.histogram(col, bins=e)[0]
-            text = map(",".join, zip(map(str, range(start, stop)), *(map(repr, col.tolist()) for col in columns)))
-            fh.write("\n".join(text) + "\n")
+        for text, chunk_counts in chunks:
+            fh.write(text)
+            for c, chunk_c in zip(counts, chunk_counts):
+                c += chunk_c
 
     with open(hist_path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")

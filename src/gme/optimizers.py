@@ -93,27 +93,21 @@ class Objective:
     @classmethod
     def from_fun_grad(cls, name: str, fun_grad, trivialization) -> "Objective":
         """An objective whose value and gradient come from one joint evaluation."""
-        fun, grad = _cached(fun_grad)
-        return cls(name, fun, grad, trivialization, fun_grad)
+        return cls(name, *_one_point(fun_grad), trivialization, fun_grad)
 
 
-def _cached(fun_grad):
-    """Split a stacked evaluator into one-point (fun, grad) sharing one last-point memo.
+def _one_point(fun_grad):
+    """One-point (fun, grad) views of a stacked evaluator.
 
     A point is evaluated as a stack of one row, so ``fun`` and ``grad`` return
     exactly what the optimizer sees for that row.
     """
-    cache = {"theta": None, "out": None}
 
-    def lookup(theta):
-        theta = np.asarray(theta, dtype=float)
-        if cache["theta"] is None or not np.array_equal(cache["theta"], theta):
-            cache["theta"] = theta.copy()
-            values, grads = fun_grad(theta[None])
-            cache["out"] = float(values[0]), grads[0]
-        return cache["out"]
+    def row(theta):
+        values, grads = fun_grad(np.asarray(theta, dtype=float)[None])
+        return float(values[0]), grads[0]
 
-    return (lambda t: lookup(t)[0]), (lambda t: lookup(t)[1])
+    return (lambda t: row(t)[0]), (lambda t: row(t)[1])
 
 
 def _row_by_row(fun, grad):

@@ -297,13 +297,9 @@ def roof_truncation_value(rho: DensityMatrix, k: int, x: np.ndarray) -> float:
     x = np.asarray(x, dtype=complex)
     if x.shape[1] != rank:
         raise StateError(f"Stiefel matrix must have {rank} columns")
-    d_a, d_b = rho.dims
-    psit = lam_tilde @ x.T
-    total = 0.0
-    for i in range(x.shape[0]):
-        s = np.linalg.svd(psit[:, i].reshape(d_a, d_b), compute_uv=False)
-        total += float((s[k - 1 :] ** 2).sum())
-    return total
+    entries = (lam_tilde @ x.T).T.reshape(x.shape[0], *rho.dims)
+    s = np.linalg.svd(entries, compute_uv=False)
+    return float((s[:, k - 1 :] ** 2).sum())
 
 
 @dataclass(frozen=True)

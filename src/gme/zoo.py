@@ -6,7 +6,10 @@ their complements, one-parameter families with known k-GME values, and the
 eigenvalue statistics of Haar-random bipartite states.
 
 ``FAMILIES`` maps each spec name to its constructor; the constructor's
-annotated signature is the family's parameter list and kind.
+annotated signature is the family's parameter list and kind.  A constructor
+whose parameters have a rule runs its ``check`` before building anything, and
+keeps it as ``constructor.check`` so that the rule can be tested without the
+cost of building the state.
 """
 
 from __future__ import annotations
@@ -60,13 +63,36 @@ def _ket(*indices, dims):
     return v
 
 
+def _checked_by(check):
+    """Run ``check`` on a constructor's arguments before the constructor builds anything.
+
+    ``check`` takes the constructor's parameters and raises ``StateError`` for
+    values the family refuses; the constructor keeps it as ``.check``.
+    """
+
+    def decorate(constructor):
+        @functools.wraps(constructor)
+        def construct(*args, **kwargs):
+            check(*args, **kwargs)
+            return constructor(*args, **kwargs)
+
+        construct.check = check
+        return construct
+
+    return decorate
+
+
 # ---------------------------------------------------------------------------
 # canonical pure states
 
 
-def max_entangled(d: int) -> PureState:
+def _check_max_entangled(d):
     if d < 2:
         raise StateError("maximally entangled state needs d >= 2")
+
+
+@_checked_by(_check_max_entangled)
+def max_entangled(d: int) -> PureState:
     amps = np.zeros(d * d, dtype=complex)
     amps[:: d + 1] = 1.0 / math.sqrt(d)
     return PureState(amps, (d, d))
@@ -90,10 +116,14 @@ def w_tilde_state() -> PureState:
     return dicke_state(3, 2)
 
 
-def dicke_state(n: int, m: int) -> PureState:
-    """Equal superposition of all n-qubit basis states with m excitations."""
+def _check_dicke(n, m):
     if not 0 <= m <= n:
         raise StateError(f"need 0 <= m <= n, got n={n}, m={m}")
+
+
+@_checked_by(_check_dicke)
+def dicke_state(n: int, m: int) -> PureState:
+    """Equal superposition of all n-qubit basis states with m excitations."""
     amps = np.zeros(2**n, dtype=complex)
     for idx in range(2**n):
         if bin(idx).count("1") == m:
@@ -106,11 +136,15 @@ def dicke_state(n: int, m: int) -> PureState:
 # canonical mixed states
 
 
-def isotropic_state(d: int, F: float) -> DensityMatrix:
+def _check_isotropic(d, F):
     if d < 2:
         raise StateError("isotropic state needs d >= 2")
     if not 0.0 <= F <= 1.0:
         raise StateError(f"fidelity parameter F={F} outside [0, 1]")
+
+
+@_checked_by(_check_isotropic)
+def isotropic_state(d: int, F: float) -> DensityMatrix:
     phi = max_entangled(d)
     proj = np.outer(phi.amplitudes, phi.amplitudes.conj())
     mat = (1.0 - F) / (d * d - 1.0) * (np.eye(d * d) - proj) + F * proj
@@ -125,21 +159,29 @@ def swap_operator(d: int) -> np.ndarray:
     return v
 
 
-def werner_state(d: int, alpha: float) -> DensityMatrix:
-    """Werner family built on the swap operator sum_ij |i,j><j,i|."""
+def _check_werner(d, alpha):
     if d < 2:
         raise StateError("Werner state needs d >= 2")
     if not -1.0 <= alpha <= 1.0:
         raise StateError(f"alpha={alpha} outside [-1, 1]")
+
+
+@_checked_by(_check_werner)
+def werner_state(d: int, alpha: float) -> DensityMatrix:
+    """Werner family built on the swap operator sum_ij |i,j><j,i|."""
     denom = d * d - d * alpha
     mat = (np.eye(d * d) - alpha * swap_operator(d)) / denom
     return DensityMatrix(mat, (d, d))
 
 
-def horodecki_state(a: float) -> DensityMatrix:
-    """The 3x3 PPT-entangled one-parameter family, a in [0, 1]."""
+def _check_horodecki(a):
     if not 0.0 <= a <= 1.0:
         raise StateError(f"parameter a={a} outside [0, 1]")
+
+
+@_checked_by(_check_horodecki)
+def horodecki_state(a: float) -> DensityMatrix:
+    """The 3x3 PPT-entangled one-parameter family, a in [0, 1]."""
     b = (1.0 + a) / 2.0
     c = math.sqrt(max(0.0, 1.0 - a * a)) / 2.0
     m = np.zeros((9, 9))
@@ -213,14 +255,18 @@ def upb_shifts_state() -> DensityMatrix:
     return upb_complement_state(_mixed_state_upb())
 
 
+def _check_huber_ppt(d):
+    if d < 4 or d % 2:
+        raise StateError("huber_ppt needs even d >= 4")
+
+
+@_checked_by(_check_huber_ppt)
 def huber_ppt_state(d: int) -> DensityMatrix:
     """PPT family on d (x) d, d even >= 4, with Schmidt number >= ceil(d/4).
 
     Built from maximally entangled projectors on the 2x2 and (d/2)x(d/2)
     layers; the (A1 A2)|(B1 B2) regrouping makes it a d (x) d bipartite state.
     """
-    if d < 4 or d % 2:
-        raise StateError("huber_ppt needs even d >= 4")
     k = d // 2
     p2 = max_entangled(2)
     pk = max_entangled(k)
@@ -233,11 +279,17 @@ def huber_ppt_state(d: int) -> DensityMatrix:
     return DensityMatrix(r / np.trace(r).real, (d, d))
 
 
-def dicke_mixture_state(n: int, k1: int, k2: int, r: float) -> DensityMatrix:
+def _check_dicke_mixture(n, k1, k2, r):
     if k1 == k2:
         raise StateError("dicke_mixture needs k1 != k2")
     if not 0.0 <= r <= 1.0:
         raise StateError(f"mixing weight r={r} outside [0, 1]")
+    _check_dicke(n, k1)
+    _check_dicke(n, k2)
+
+
+@_checked_by(_check_dicke_mixture)
+def dicke_mixture_state(n: int, k1: int, k2: int, r: float) -> DensityMatrix:
     a = dicke_state(n, k1).amplitudes
     b = dicke_state(n, k2).amplitudes
     mat = r * np.outer(a, a.conj()) + (1.0 - r) * np.outer(b, b.conj())
@@ -248,14 +300,18 @@ def dicke_mixture_state(n: int, k1: int, k2: int, r: float) -> DensityMatrix:
 # canonical subspaces
 
 
-def two_by_d_theta_subspace(d: int, theta: float, xi: float = 0.0) -> Subspace:
-    """The (d-1)-dimensional entangled subspace of a 2 (x) d system."""
+def _check_two_by_d_theta(d, theta, xi=0.0):
     if d < 2:
         raise StateError("two_by_d_theta needs d >= 2")
     if not 0.0 < theta < math.pi:
         raise StateError(f"theta={theta} outside (0, pi)")
     if not 0.0 <= xi < 2 * math.pi:
         raise StateError(f"xi={xi} outside [0, 2*pi)")
+
+
+@_checked_by(_check_two_by_d_theta)
+def two_by_d_theta_subspace(d: int, theta: float, xi: float = 0.0) -> Subspace:
+    """The (d-1)-dimensional entangled subspace of a 2 (x) d system."""
     a = math.cos(theta / 2.0)
     b = np.exp(1j * xi) * math.sin(theta / 2.0)
     dims = (2, d)
@@ -276,6 +332,12 @@ def johnston_subspace() -> Subspace:
     return Subspace.from_states([PureState(v, dims) for v in (v1, v2, v3)])
 
 
+def _check_bhat(d1, d2, d3):
+    if min(d1, d2, d3) < 2:
+        raise StateError("bhat subspace needs all local dimensions >= 2")
+
+
+@_checked_by(_check_bhat)
 def bhat_subspace(d1: int, d2: int, d3: int) -> Subspace:
     """Maximal completely entangled subspace of d1 (x) d2 (x) d3.
 
@@ -283,8 +345,6 @@ def bhat_subspace(d1: int, d2: int, d3: int) -> Subspace:
     d1 d2 d3 - d1 - d2 - d3 + 2.
     """
     dims = (d1, d2, d3)
-    if any(x < 2 for x in dims):
-        raise StateError("bhat subspace needs all local dimensions >= 2")
     by_weight: dict[int, list[tuple[int, int, int]]] = {}
     for i in range(d1):
         for j in range(d2):
@@ -405,8 +465,7 @@ def werner_gme(d: int, alpha: float) -> float:
 
 
 def dicke_gme(n: int, m: int) -> float:
-    if not 0 <= m <= n:
-        raise StateError(f"need 0 <= m <= n, got n={n}, m={m}")
+    _check_dicke(n, m)
     if m in (0, n):
         return 0.0
     return 1.0 - math.comb(n, m) * (m / n) ** m * ((n - m) / n) ** (n - m)
@@ -420,11 +479,13 @@ def two_by_d_theta_gme(d: int, theta: float) -> float:
 def oracle_gme(spec, k: int) -> float:
     """Closed-form k-GME for the supported (family, k) pairs.
 
-    The family is built first, so its constructor alone decides which
-    parameters are valid.
+    The parameters go through the family's ``check`` first, the rule its
+    constructor applies, without building the state.
     """
     name, p = spec.name, _family_args(spec)
-    FAMILIES[name](**p)
+    check = getattr(FAMILIES[name], "check", None)
+    if check is not None:
+        check(**p)
     if name == "isotropic":
         return isotropic_kgme(p["d"], p["F"], k)
     if k != 2:
@@ -505,10 +566,7 @@ def dicke_mixture_gme(n: int, k1: int, k2: int, r: float, grid_size: int = 513) 
     Evaluates the pure-state curve on a uniform weight grid and returns the
     lower convex envelope at r.
     """
-    if k1 == k2:
-        raise StateError("dicke_mixture needs k1 != k2")
-    if not 0.0 <= r <= 1.0:
-        raise StateError(f"mixing weight r={r} outside [0, 1]")
+    _check_dicke_mixture(n, k1, k2, r)
     ws = np.linspace(0.0, 1.0, grid_size)
     es = np.array([dicke_mixture_pure_gme(n, k1, k2, w) for w in ws])
     hull = _lower_convex_envelope(ws, es)

@@ -1,11 +1,16 @@
-"""Haar Monte Carlo harness: chunked streaming against the whole-array writer."""
+"""Haar Monte Carlo harness: chunked streaming and the worker pool against the whole-array writer."""
 
 import csv
+import multiprocessing
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from gme import haar
+from gme.cli import main
 from gme.haar import CHUNK, ExperimentConfig, distill_success, haar_experiment, haar_sample_spectra, tail_measures
 from gme.states import StateError, sample_haar_pure
 from gme.zoo import haar_eg2_density_d4, haar_egd_density, haar_psucc_full_density
@@ -101,6 +106,12 @@ def _reference_experiment(config):
     return samples_path, hist_path
 
 
+def _same_bytes(paths_a, paths_b):
+    for path_a, path_b in zip(paths_a, paths_b):
+        with open(path_a, "rb") as a, open(path_b, "rb") as b:
+            assert a.read() == b.read()
+
+
 @pytest.mark.parametrize(
     "dims, k_values, m_values, n_bins",
     [((4, 4), (1, 2, 3, 4), (1, 2, 3, 4), 50), ((2, 3), (1, 2), (1, 2), 7), ((4, 4), (), (), 50)],
@@ -111,9 +122,71 @@ def test_experiment_matches_whole_array_writer(tmp_path, dims, k_values, m_value
     (tmp_path / "ref").mkdir()
     ref = _reference_experiment(ExperimentConfig(out_dir=str(tmp_path / "ref"), **common))
     got = haar_experiment(ExperimentConfig(out_dir=str(tmp_path / "new"), **common))
-    for ref_path, got_path in zip(ref, got):
-        with open(ref_path, "rb") as a, open(got_path, "rb") as b:
-            assert a.read() == b.read()
+    _same_bytes(ref, got)
+
+
+def _watch_chunks(monkeypatch, check):
+    """Call ``check(in_parent)`` from every chunk's ``tail_measures``, in whichever process runs it."""
+    parent, real = os.getpid(), haar.tail_measures
+
+    def tail_measures(*args):
+        check(os.getpid() == parent)
+        return real(*args)
+
+    monkeypatch.setattr(haar, "tail_measures", tail_measures)
+
+
+POOL_RUN = dict(n_samples=3 * CHUNK + 37, dims=(4, 4), seed=3, k_values=(2, 3, 4), m_values=(2, 4), n_bins=20)
+
+
+@pytest.fixture(scope="module")
+def pool_reference(tmp_path_factory):
+    return _reference_experiment(ExperimentConfig(out_dir=str(tmp_path_factory.mktemp("ref")), **POOL_RUN))
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pool_writes_the_same_bytes(tmp_path, monkeypatch, pool_reference, workers):
+    """Any number of workers writes the whole-array writer's bytes."""
+    monkeypatch.setattr(haar, "_available_cpus", lambda: workers)
+    got = haar_experiment(ExperimentConfig(out_dir=str(tmp_path), **POOL_RUN))
+    _same_bytes(pool_reference, got)
+
+
+def test_pool_leaves_no_child(tmp_path, monkeypatch):
+    """With two CPUs every chunk runs in a worker, and every worker is joined on return."""
+
+    def check(in_parent):
+        assert not in_parent, "a chunk ran in the parent process"
+
+    monkeypatch.setattr(haar, "_available_cpus", lambda: 2)
+    _watch_chunks(monkeypatch, check)
+    haar_experiment(ExperimentConfig(n_samples=2 * CHUNK + 1, out_dir=str(tmp_path)))
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_error_exits_2_and_leaves_no_child(tmp_path, monkeypatch, capsys):
+    """A StateError raised in a worker reaches the CLI with its type, and the pool is torn down."""
+
+    def check(in_parent):
+        if not in_parent:
+            raise StateError("refused in a worker")
+
+    monkeypatch.setattr(haar, "_available_cpus", lambda: 2)
+    _watch_chunks(monkeypatch, check)
+    code = main(["haar", "--dims", "4,4", "--samples", str(5 * CHUNK), "--out", str(tmp_path)])
+    assert code == 2
+    assert "refused in a worker" in capsys.readouterr().err
+    assert multiprocessing.active_children() == []
+
+
+def test_import_loads_no_pool():
+    """Importing gme and its CLI leaves the process-pool machinery unimported."""
+    probe = (
+        "import sys, gme, gme.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=os.environ)
+    assert out.stdout.strip() == "[]"
 
 
 def test_distill_success_names_each_bad_target():

@@ -144,6 +144,24 @@ def test_roof_truncation_cross_check():
     assert abs(truncated - est.value) < 1e-5
 
 
+@pytest.mark.parametrize("k", [2, 3])
+def test_roof_truncation_matches_the_per_entry_loop(rng, k):
+    """The batched SVD gives the per-entry sum of tail singular-value mass."""
+    from conftest import random_density
+
+    from gme.variational import _rho_eigendata
+
+    rho = random_density((3, 4), rng, rank=5)
+    lam_tilde, rank = _rho_eigendata(rho)
+    x = random_unitary(9, rng)[:, :rank]  # a random point of the Stiefel manifold, 9 entries
+    psit = lam_tilde @ x.T
+    loop = 0.0
+    for i in range(x.shape[0]):
+        s = np.linalg.svd(psit[:, i].reshape(3, 4), compute_uv=False)
+        loop += float((s[k - 1 :] ** 2).sum())
+    assert abs(roof_truncation_value(rho, k, x) - loop) <= 1e-14
+
+
 def test_multipartite_mixed_separable(rng):
     from conftest import random_density
 

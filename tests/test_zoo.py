@@ -207,6 +207,18 @@ def test_oracle_values():
         oracle_gme(StateSpec("w"), 3)
 
 
+def test_oracle_checks_parameters_without_building(monkeypatch):
+    """The oracle applies the family's parameter rule without constructing the d^2 x d^2 state."""
+
+    def refuse(self):
+        raise AssertionError("oracle_gme constructed a DensityMatrix")
+
+    monkeypatch.setattr(DensityMatrix, "__post_init__", refuse)
+    assert oracle_gme(parse_spec_string("isotropic:d=30,F=0.5"), 3) == isotropic_kgme(30, 0.5, 3)
+    with pytest.raises(StateError, match="outside"):
+        oracle_gme(parse_spec_string("isotropic:d=30,F=1.5"), 3)
+
+
 def test_isotropic_oracle_monotone_and_continuous():
     d = 4
     for F in np.linspace(0.0, 1.0, 21):

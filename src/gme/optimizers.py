@@ -12,20 +12,57 @@ running.
 The default method is scipy's L-BFGS-B, driven through the reverse-communication
 loop of its ``setulb`` routine with one workspace per restart, and with the
 options and stopping rules that ``scipy.optimize.minimize(method="L-BFGS-B")``
-applies.  An inner run that stops with iterations left and progress made is
-started afresh from its final point (new curvature memory), which keeps
-descending on ill-scaled objectives after a failed line search.  A plain
+applies.  ``setulb`` comes from SciPy's compiled extension file; the
+``scipy.optimize`` package itself is not imported.  An inner run that stops
+with iterations left and progress made is started afresh from its final point
+(new curvature memory), which keeps descending on ill-scaled objectives after
+a failed line search.  A plain
 momentum descent is available as a fallback; it steps the same stacked block.
 """
 
 from __future__ import annotations
 
+import importlib.util
+import math
+import os
+import sys
 from dataclasses import dataclass, field, replace
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
-from scipy.optimize import _lbfgsb
 
 from .states import StateError, check_seed
+
+
+def _load_lbfgsb():
+    """SciPy's compiled L-BFGS-B module, loaded from its extension file.
+
+    Importing ``scipy.optimize._lbfgsb`` by name would first run the whole
+    ``scipy.optimize`` package (linprog, HiGHS, trust-region code, ...); this
+    loads the one extension file instead.  A module already loaded is reused.
+    """
+    name = "scipy.optimize._lbfgsb"
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    for directory in spec.submodule_search_locations if spec else ():
+        for suffix in EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "optimize", "_lbfgsb" + suffix)
+            if os.path.isfile(path):
+                loader = ExtensionFileLoader(name, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(name, path, loader=loader))
+                loader.exec_module(module)
+                # a single-phase extension registers itself in sys.modules; take it out,
+                # so that a later `import scipy.optimize` loads and binds its own copy
+                if sys.modules.get(name) is module:
+                    del sys.modules[name]
+                return module
+    raise ImportError("gme needs SciPy >= 1.15: no compiled L-BFGS-B module "
+                      "scipy/optimize/_lbfgsb was found")
+
+
+_lbfgsb = _load_lbfgsb()
 
 # setulb's options, as scipy.optimize.minimize(method="L-BFGS-B") passes them
 # for ftol=1e-18 and maxls=60; MAXFUN is scipy's default evaluation cap
@@ -50,6 +87,10 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.restarts < 1:
             raise StateError("need at least one restart")
+        if self.max_iterations < 1:
+            raise StateError("need at least one iteration")
+        if not (math.isfinite(self.gradient_tolerance) and self.gradient_tolerance >= 0):
+            raise StateError(f"gradient tolerance must be finite and >= 0, got {self.gradient_tolerance}")
         if self.method not in ("lbfgs", "momentum"):
             raise StateError(f"unknown optimizer method {self.method!r}")
         check_seed(self.seed)

@@ -74,7 +74,7 @@ def save_state(obj, path) -> None:
 
 def _normalized_pure(amps, dims, where):
     nrm = np.linalg.norm(amps)
-    if abs(nrm - 1.0) > LOAD_ATOL:
+    if not (abs(nrm - 1.0) <= LOAD_ATOL):  # NaN-safe: a NaN norm fails too
         raise StateFileError(f"{where}: norm {nrm!r} violates normalization by more than {LOAD_ATOL}")
     if abs(nrm - 1.0) > 1e-12:
         amps = amps / nrm
@@ -95,7 +95,7 @@ def load_state(path):
         raise StateFileError(f"{path}: field 'type' must be pure, mixed, or subspace")
     dims = doc.get("dims")
     if not isinstance(dims, list) or not dims or not all(
-        isinstance(d, int) and d >= 1 for d in dims
+        isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims
     ):
         raise StateFileError(f"{path}: field 'dims' must be a list of positive integers")
     dims = tuple(dims)
@@ -119,7 +119,7 @@ def load_state(path):
         tr = np.trace(mat).real if mat.ndim == 2 and mat.shape[0] == mat.shape[1] else None
         if tr is None:
             raise StateFileError(f"{path}: field 'matrix' must be square")
-        if abs(tr - 1.0) > LOAD_ATOL:
+        if not (abs(tr - 1.0) <= LOAD_ATOL):
             raise StateFileError(f"{path}: matrix trace {tr!r} violates unit trace by more than {LOAD_ATOL}")
         if abs(tr - 1.0) > 1e-12:
             mat = mat / tr

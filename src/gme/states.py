@@ -64,7 +64,7 @@ class PureState:
                 f"amplitude length {amps.size} does not match layout {dims}"
             )
         nrm = np.linalg.norm(amps)
-        if abs(nrm - 1.0) > NORM_ATOL:
+        if not (abs(nrm - 1.0) <= NORM_ATOL):  # NaN-safe: a NaN norm fails too
             raise StateError(f"state norm {nrm!r} is not 1 within {NORM_ATOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -92,11 +92,11 @@ class DensityMatrix:
         if mat.shape != (d, d):
             raise StateError(f"matrix shape {mat.shape} does not match layout {dims}")
         asym = np.linalg.norm(mat - mat.conj().T)
-        if asym >= PSD_ATOL:
+        if not (asym < PSD_ATOL):
             raise StateError(f"matrix asymmetry {asym:.3e} exceeds {PSD_ATOL}")
         mat = 0.5 * (mat + mat.conj().T)
         tr = np.trace(mat).real
-        if abs(tr - 1.0) > NORM_ATOL:
+        if not (abs(tr - 1.0) <= NORM_ATOL):
             raise StateError(f"trace {tr!r} is not 1 within {NORM_ATOL}")
         min_eig = float(np.linalg.eigvalsh(mat)[0])
         if min_eig < -PSD_ATOL:

@@ -149,6 +149,42 @@ def test_bad_arguments_exit_2(capsys):
     assert code == 2 and "density" in err
 
 
+@pytest.mark.parametrize("flags", [("--max-iterations", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf")])
+def test_bad_optimizer_budget_or_tolerance_exits_2(capsys, flags):
+    code, out, err = run_cli(capsys, "pure", "--state", "ghz", "--k", "2", "--restarts", "1", *flags)
+    assert code == 2 and out == "" and err.startswith("gme:")
+
+
+def _bell_file(tmp_path, kind, where, value):
+    """A Bell state file of the given kind with the field at key path ``where`` set to ``value``."""
+    pure = kind == "pure"
+    data = bell_state().amplitudes if pure else bell_state().to_density_matrix().matrix
+    doc = {"type": kind, "dims": [2, 2], "amplitudes" if pure else "matrix": np.stack([data.real, data.imag], -1).tolist()}
+    *outer, last = where
+    target = doc
+    for key in outer:
+        target = target[key]
+    target[last] = value
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("kind,where,value", [
+    ("pure", ("amplitudes", 0, 0), float("nan")),
+    ("mixed", ("matrix", 1, 1, 0), float("nan")),
+    ("mixed", ("matrix", 0, 3, 0), float("nan")),
+    ("pure", ("dims",), [True, 4]),
+], ids=["nan-amplitude", "nan-diagonal", "nan-off-diagonal", "bool-dims"])
+def test_convert_refuses_nan_entries_and_bool_dims(capsys, tmp_path, kind, where, value):
+    """Exit 3 (unreadable state file), where NaN files used to convert and [true, 4] load as (1, 4)."""
+    out_file = tmp_path / "out.json"
+    state = _bell_file(tmp_path, kind, where, value)
+    code, out, err = run_cli(capsys, "convert", "--state", state, "--out", str(out_file))
+    assert code == 3 and out == "" and err.startswith("gme:")
+    assert not out_file.exists()
+
+
 def test_parse_failure_exit_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "pure", "--state", "no_such_family:x=1")
     assert code == 3

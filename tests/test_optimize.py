@@ -1,11 +1,16 @@
 """Multi-restart minimization: accuracy, determinism, both methods."""
 
+import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import optimize as sopt
 
+import gme
 from gme.optimizers import Objective, OptimizerConfig, minimize
 from gme.states import StateError
 from gme.trivializations import BoundedRankAnsatz, ProductAnsatz
@@ -68,6 +73,11 @@ def test_config_validation():
         OptimizerConfig(restarts=0)
     with pytest.raises(StateError):
         OptimizerConfig(method="adam")
+    # no iterations would report an infinite value; a NaN tolerance would never stop a run
+    for bad in ({"max_iterations": 0}, {"max_iterations": -3}, {"gradient_tolerance": -1.0},
+                {"gradient_tolerance": float("nan")}, {"gradient_tolerance": float("inf")}):
+        with pytest.raises(StateError):
+            OptimizerConfig(**bad)
 
 
 # ---------------------------------------------------------------------------
@@ -174,3 +184,57 @@ def test_objective_from_one_point_functions():
     config = OptimizerConfig(restarts=2)
     np.testing.assert_array_equal(minimize(obj, config).per_restart_values,
                                   minimize(make_quadratic(c), config).per_restart_values)
+
+
+# ---------------------------------------------------------------------------
+# loading L-BFGS-B without the scipy.optimize package
+
+
+def _fresh_python(code, cwd):
+    """Run ``code`` in a new interpreter that imports gme from this source tree; its stdout as JSON."""
+    src = os.path.dirname(os.path.dirname(gme.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_cli_runs_without_scipy_optimize_or_integrate(tmp_path):
+    code = """if True:
+        import contextlib, io, json, sys
+        import gme, gme.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [gme.cli.main(["pure", "--state", "ghz", "--k", "2", "--restarts", "2"]),
+                     gme.cli.main(["bound", "--state", "isotropic:d=3,F=0.7", "--k", "2"]),
+                     gme.cli.main(["haar", "--dims", "4,4", "--k", "2", "--samples", "20"])]
+        print(json.dumps({"codes": codes, "modules": sorted(sys.modules)}))
+    """
+    out = _fresh_python(code, tmp_path)
+    assert out["codes"] == [0, 0, 0]
+    loaded = [m for m in out["modules"] if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "integrate"])]
+    assert set(loaded) <= {"scipy.optimize._lbfgsb"}
+
+
+_ROSEN = """if True:
+    import json
+    {first}
+    from scipy.optimize import minimize, rosen, rosen_der
+    res = minimize(rosen, [1.3, 0.7, 0.8, 1.9, 1.2], jac=rosen_der, method="L-BFGS-B")
+    print(json.dumps({{"x": [repr(v) for v in res.x], "fun": repr(res.fun), "nit": res.nit, "nfev": res.nfev}}))
+"""
+
+
+def test_scipy_minimize_unchanged_by_importing_gme(tmp_path):
+    alone = _fresh_python(_ROSEN.format(first=""), tmp_path)
+    after_gme = _fresh_python(_ROSEN.format(first="import gme"), tmp_path)
+    assert after_gme == alone
+
+
+def test_lbfgsb_is_scipys_extension_module(tmp_path):
+    """gme loaded its module before scipy.optimize here; in a fresh process scipy goes first."""
+    assert gme.optimizers._lbfgsb.__file__ == sopt._lbfgsb.__file__
+    out = _fresh_python("""if True:
+        import json, scipy.optimize._lbfgsb as scipys, gme.optimizers
+        print(json.dumps(gme.optimizers._lbfgsb is scipys))
+    """, tmp_path)
+    assert out is True

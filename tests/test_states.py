@@ -263,3 +263,16 @@ def test_partial_trace_composes_with_tensor_product(rng):
 def test_max_entangled_spectrum():
     lam = schmidt_spectrum(max_entangled(5), (0,))
     np.testing.assert_allclose(lam, np.full(5, 0.2), atol=1e-14)
+
+
+def test_nan_states_refused():
+    """A NaN entry fails the norm, trace or asymmetry check, not a later routine."""
+    amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+    amps[1] = np.nan
+    with pytest.raises(StateError):
+        PureState(amps, (2, 2))
+    for entry in ((0, 0), (0, 1)):
+        mat = np.eye(2, dtype=complex) / 2
+        mat[entry] = np.nan
+        with pytest.raises(StateError):
+            DensityMatrix(mat, (2,))

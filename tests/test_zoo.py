@@ -11,9 +11,11 @@ from scipy import integrate
 from gme.serialize import parse_spec_string, spec_kind
 from gme.states import DensityMatrix, PureState, StateError, Subspace, partial_transpose
 from gme.zoo import (
+    _D4_MARGINAL_NORMS,
     FAMILIES,
     StateSpec,
     SubspaceSpec,
+    _haar_eigmarginal_d4_raw,
     _mixed_state_upb,
     bell_state,
     bhat_subspace,
@@ -296,3 +298,9 @@ def test_huber_regrouping_matches_manual():
 
     red = partial_trace(rho, (1,))
     np.testing.assert_allclose(red.matrix, np.eye(d) / d, atol=1e-10)
+
+
+def test_d4_marginal_norms_are_the_quadrature_values():
+    """The stored masses are exactly what the quadrature they replace returns."""
+    for i, norm in _D4_MARGINAL_NORMS.items():
+        assert norm == integrate.quad(lambda t: float(_haar_eigmarginal_d4_raw(i, t)), 0.0, 1.0, limit=400)[0]

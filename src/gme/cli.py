@@ -49,16 +49,9 @@ def _load_any(text):
         path = text[1:] if text.startswith("@") else text
         try:
             return load_state(path)
-        except FileNotFoundError as exc:
+        except OSError as exc:
             raise CliError(f"cannot read {path}: {exc}", EXIT_PARSE) from exc
-        except StateFileError as exc:
-            raise CliError(str(exc), EXIT_PARSE) from exc
-    try:
-        return build_family(parse_spec_string(text))
-    except StateFileError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
-    except StateError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
+    return build_family(parse_spec_string(text))
 
 
 def _optimizer_config(args) -> OptimizerConfig:
@@ -168,21 +161,18 @@ def cmd_bound(args):
     if (args.state is None) == (args.subspace is None):
         raise CliError("bound needs exactly one of --state and --subspace", EXIT_USAGE)
     obj = _load_any(args.state if args.state is not None else args.subspace)
-    try:
-        relaxation = sdp.resolve_relaxation(args.k, args.relaxation)
-        if isinstance(obj, Subspace):
-            # a multipartite subspace has only the PPT bound, which is k = 2;
-            # the reduction bound refuses it as non-bipartite
-            if relaxation == "ppt":
-                value, sol = sdp.lower_bound_subspace_ppt(obj, full_output=True)
-            else:
-                value, sol = sdp.lower_bound_subspace_reduction(obj, args.k, full_output=True)
-        elif isinstance(obj, DensityMatrix):
-            value, sol = sdp.lower_bound_mixed(obj, args.k, relaxation=relaxation, full_output=True)
+    relaxation = sdp.resolve_relaxation(args.k, args.relaxation)
+    if isinstance(obj, Subspace):
+        # a multipartite subspace has only the PPT bound, which is k = 2;
+        # the reduction bound refuses it as non-bipartite
+        if relaxation == "ppt":
+            value, sol = sdp.lower_bound_subspace_ppt(obj, full_output=True)
         else:
-            raise CliError("subcommand 'bound' needs a mixed state or subspace", EXIT_USAGE)
-    except StateError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
+            value, sol = sdp.lower_bound_subspace_reduction(obj, args.k, full_output=True)
+    elif isinstance(obj, DensityMatrix):
+        value, sol = sdp.lower_bound_mixed(obj, args.k, relaxation=relaxation, full_output=True)
+    else:
+        raise CliError("subcommand 'bound' needs a mixed state or subspace", EXIT_USAGE)
     if not np.isfinite(value):
         raise CliError("solver failed to produce a finite bound", EXIT_NUMERIC)
     _emit(
@@ -266,17 +256,9 @@ def cmd_transform(args):
 
 
 def cmd_oracle(args):
-    try:
-        spec = parse_spec_string(args.state)
-    except StateFileError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
-    try:
-        value = oracle_gme(spec, args.k)
-    except StateError as exc:
-        raise CliError(str(exc), EXIT_USAGE) from exc
     _emit(
         {
-            "value": value,
+            "value": oracle_gme(parse_spec_string(args.state), args.k),
             "k": args.k,
             "method": "oracle",
             "converged": True,

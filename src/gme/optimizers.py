@@ -114,53 +114,23 @@ class Objective:
     """A registered objective: value and analytic gradient over flat parameters.
 
     ``fun_grad`` maps parameters of shape (..., input_len) to values (...) and
-    gradients (..., input_len); ``fun`` and ``grad`` are its one-point views.
+    gradients (..., input_len).  ``fun`` and ``grad`` evaluate one point as a
+    stack of one row, so they return exactly what the optimizer sees for it.
     """
 
     name: str
-    fun: callable
-    grad: callable
+    fun_grad: callable
     trivialization: object
-    fun_grad: callable = None
-
-    def __post_init__(self):
-        if self.fun_grad is None:
-            object.__setattr__(self, "fun_grad", _row_by_row(self.fun, self.grad))
 
     @property
     def input_len(self) -> int:
         return self.trivialization.input_len
 
-    @classmethod
-    def from_fun_grad(cls, name: str, fun_grad, trivialization) -> "Objective":
-        """An objective whose value and gradient come from one joint evaluation."""
-        return cls(name, *_one_point(fun_grad), trivialization, fun_grad)
+    def fun(self, theta) -> float:
+        return float(self.fun_grad(np.asarray(theta, dtype=float)[None])[0][0])
 
-
-def _one_point(fun_grad):
-    """One-point (fun, grad) views of a stacked evaluator.
-
-    A point is evaluated as a stack of one row, so ``fun`` and ``grad`` return
-    exactly what the optimizer sees for that row.
-    """
-
-    def row(theta):
-        values, grads = fun_grad(np.asarray(theta, dtype=float)[None])
-        return float(values[0]), grads[0]
-
-    return (lambda t: row(t)[0]), (lambda t: row(t)[1])
-
-
-def _row_by_row(fun, grad):
-    """A stacked evaluator for an objective given only one-point fun and grad."""
-
-    def fun_grad(theta):
-        rows = np.asarray(theta, dtype=float).reshape(-1, np.shape(theta)[-1])
-        values = np.array([fun(t) for t in rows], dtype=float)
-        grads = np.array([grad(t) for t in rows], dtype=float).reshape(rows.shape)
-        return values.reshape(np.shape(theta)[:-1]), grads.reshape(np.shape(theta))
-
-    return fun_grad
+    def grad(self, theta) -> np.ndarray:
+        return self.fun_grad(np.asarray(theta, dtype=float)[None])[1][0]
 
 
 class _LbfgsbRun:

@@ -88,6 +88,8 @@ def load_state(path):
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise StateFileError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+        except UnicodeDecodeError as exc:
+            raise StateFileError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     if not isinstance(doc, dict):
         raise StateFileError(f"{path}: top level must be an object")
     kind = doc.get("type")
@@ -115,10 +117,11 @@ def load_state(path):
         rows = doc["matrix"]
         if not isinstance(rows, list):
             raise StateFileError(f"{path}: field 'matrix' must be a list of rows")
-        mat = np.asarray([_vector_from_pairs(r, f"matrix row {i}") for i, r in enumerate(rows)])
-        tr = np.trace(mat).real if mat.ndim == 2 and mat.shape[0] == mat.shape[1] else None
-        if tr is None:
+        vecs = [_vector_from_pairs(r, f"matrix row {i}") for i, r in enumerate(rows)]
+        if not vecs or any(v.size != len(vecs) for v in vecs):
             raise StateFileError(f"{path}: field 'matrix' must be square")
+        mat = np.asarray(vecs)
+        tr = np.trace(mat).real
         if not (abs(tr - 1.0) <= LOAD_ATOL):
             raise StateFileError(f"{path}: matrix trace {tr!r} violates unit trace by more than {LOAD_ATOL}")
         if abs(tr - 1.0) > 1e-12:

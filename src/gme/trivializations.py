@@ -80,32 +80,32 @@ def _adjoint(a):
     return a.conj().swapaxes(-1, -2)
 
 
-def _gram_eigh(a, eps):
-    """Eigenvectors, square-rooted eigenvalues and inverse square root of A^dag A + eps I."""
-    b = _adjoint(a) @ a + eps * np.eye(a.shape[-1])
+def _gram_eigh(a):
+    """Eigenvectors, square-rooted eigenvalues and inverse square root of A^dag A + POLAR_EPS I."""
+    b = _adjoint(a) @ a + POLAR_EPS * np.eye(a.shape[-1])
     vals, vecs = np.linalg.eigh(b)
     sq = np.sqrt(vals)
     return vecs, sq, (vecs / sq[..., None, :]) @ _adjoint(vecs)
 
 
-def polar(a, eps=POLAR_EPS, return_gram=False):
-    """Regularized polar factor A (A^dag A + eps I)^(-1/2), over the last two axes.
+def polar(a, return_gram=False):
+    """Regularized polar factor A (A^dag A + POLAR_EPS I)^(-1/2), over the last two axes.
 
     With ``return_gram`` the Gram eigendata come back too, for ``polar_vjp``
     at the same point to reuse instead of a second eigendecomposition.
     """
-    gram = _gram_eigh(a, eps)
+    gram = _gram_eigh(a)
     x = a @ gram[2]
     return (x, gram) if return_gram else x
 
 
-def polar_vjp(a, g, eps=POLAR_EPS, gram=None):
+def polar_vjp(a, g, gram=None):
     """Cogradient through the regularized polar factor, over the last two axes.
 
     Uses the Daleckii-Krein divided differences of t -> t^(-1/2) on the
-    Gram-matrix eigenbasis; ``gram`` is what ``polar(a, eps, True)`` returned.
+    Gram-matrix eigenbasis; ``gram`` is what ``polar(a, return_gram=True)`` returned.
     """
-    vecs, sq, inv_sqrt = _gram_eigh(a, eps) if gram is None else gram
+    vecs, sq, inv_sqrt = _gram_eigh(a) if gram is None else gram
     # divided differences of t^(-1/2): -1 / (sqrt(di dj) (sqrt(di) + sqrt(dj)))
     si, sj = sq[..., :, None], sq[..., None, :]
     w = -1.0 / (si * sj * (si + sj))
@@ -121,7 +121,6 @@ def polar_vjp(a, g, eps=POLAR_EPS, gram=None):
 @dataclass(frozen=True)
 class Positive:
     n: int = 1
-    kind: str = "positive"
 
     @property
     def input_len(self) -> int:
@@ -135,7 +134,6 @@ class Positive:
 class Simplex:
     n: int
     inner: str = "exp"
-    kind: str = "simplex"
 
     @property
     def input_len(self) -> int:
@@ -153,7 +151,6 @@ class Simplex:
 @dataclass(frozen=True)
 class Sphere:
     n: int
-    kind: str = "sphere"
 
     @property
     def input_len(self) -> int:
@@ -166,7 +163,6 @@ class Sphere:
 @dataclass(frozen=True)
 class Hermitian:
     n: int
-    kind: str = "hermitian"
 
     @property
     def input_len(self) -> int:
@@ -179,7 +175,6 @@ class Hermitian:
 @dataclass(frozen=True)
 class Unitary:
     n: int
-    kind: str = "unitary"
 
     @property
     def input_len(self) -> int:
@@ -193,7 +188,6 @@ class Unitary:
 class Stiefel:
     n: int
     r: int
-    kind: str = "stiefel"
 
     @property
     def input_len(self) -> int:
@@ -316,7 +310,6 @@ class ProductAnsatz(_ProductTerms):
     """A fully product state: one normalized complex factor per party."""
 
     dims: tuple[int, ...]
-    kind: str = "product_ansatz"
 
 
 @dataclass(frozen=True)
@@ -329,7 +322,6 @@ class BoundedRankAnsatz(_ProductTerms):
 
     dims: tuple[int, ...]
     k: int
-    kind: str = "bounded_rank_ansatz"
     weighted = True
 
     def __post_init__(self):
@@ -348,7 +340,6 @@ class RoofAnsatz:
     n_entries: int
     rank: int
     inner: object  # ProductAnsatz or BoundedRankAnsatz
-    kind: str = "roof_ansatz"
 
     def __post_init__(self):
         if self.n_entries < self.rank:

@@ -39,7 +39,6 @@ class _Flat:
     """Identity trivialization for plain Euclidean test objectives."""
 
     n: int
-    kind: str = "flat"
 
     @property
     def input_len(self) -> int:
@@ -75,7 +74,7 @@ def make_quadratic(center) -> Objective:
     def fun_grad(theta):
         return np.sum((theta - c) ** 2, axis=-1), 2.0 * (theta - c)
 
-    return Objective.from_fun_grad("quadratic", fun_grad, _Flat(c.size))
+    return Objective("quadratic", fun_grad, _Flat(c.size))
 
 
 def make_rayleigh(h) -> Objective:
@@ -90,7 +89,7 @@ def make_rayleigh(h) -> Objective:
         f = _inner(z, h_z).real / n
         return f, reals_from_cograd((h_z - f[..., None] * z) / n[..., None])
 
-    return Objective.from_fun_grad("rayleigh", fun_grad, Sphere(2 * d))
+    return Objective("rayleigh", fun_grad, Sphere(2 * d))
 
 
 def make_pure_overlap(psi: PureState, k: int) -> Objective:
@@ -106,7 +105,7 @@ def make_pure_overlap(psi: PureState, k: int) -> Objective:
         g_phi = (c2 / n**2)[..., None] * phi - (np.conj(c) / n)[..., None] * target
         return -c2 / n, pullback(g_phi)
 
-    return Objective.from_fun_grad("pure_overlap", fun_grad, ansatz)
+    return Objective("pure_overlap", fun_grad, ansatz)
 
 
 def make_subspace_bounded_rank(subspace: Subspace, k: int) -> Objective:
@@ -123,7 +122,7 @@ def make_subspace_bounded_rank(subspace: Subspace, k: int) -> Objective:
         f = _inner(phi, p_phi).real / n
         return f, pullback((p_phi - f[..., None] * phi) / n[..., None])
 
-    return Objective.from_fun_grad("subspace_bounded_rank", fun_grad, ansatz)
+    return Objective("subspace_bounded_rank", fun_grad, ansatz)
 
 
 def make_subspace_product(subspace: Subspace) -> Objective:
@@ -136,7 +135,7 @@ def make_subspace_product(subspace: Subspace) -> Objective:
         p_phi = _apply(proj, phi)
         return _inner(phi, p_phi).real, pullback(p_phi)
 
-    return Objective.from_fun_grad("subspace_product", fun_grad, ansatz)
+    return Objective("subspace_product", fun_grad, ansatz)
 
 
 def _rho_eigendata(rho: DensityMatrix):
@@ -178,7 +177,7 @@ def make_mixed_roof(rho: DensityMatrix, inner, n_entries: int) -> Objective:
         )
         return -np.sum(ratio, axis=-1), grad
 
-    return Objective.from_fun_grad("mixed_roof", fun_grad, ansatz)
+    return Objective("mixed_roof", fun_grad, ansatz)
 
 
 _REGISTRY = (

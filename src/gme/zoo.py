@@ -419,11 +419,21 @@ def family_signature(name: str) -> tuple[dict, frozenset, str]:
 
 
 def _family_args(spec, kind: str | None = None) -> dict:
-    """The spec's parameters cast to its constructor's types; keys it does not take are ignored."""
+    """The spec's parameters cast to its constructor's types.
+
+    As in the spec grammar, a key the constructor does not take and a missing
+    key without a default are refused.
+    """
     if spec.name not in FAMILIES or kind not in (None, family_signature(spec.name)[2]):
         raise StateError(f"unknown {_KIND_NOUNS[kind]} {spec.name!r}")
-    types = family_signature(spec.name)[0]
-    return {key: cast(spec.params[key]) for key, cast in types.items() if key in spec.params}
+    types, required, _ = family_signature(spec.name)
+    unknown = sorted(set(spec.params) - set(types))
+    if unknown:
+        raise StateError(f"unknown keys {unknown} for family {spec.name!r}")
+    missing = sorted(required - set(spec.params))
+    if missing:
+        raise StateError(f"family {spec.name!r} is missing parameters {missing}")
+    return {key: types[key](value) for key, value in spec.params.items()}
 
 
 def build_family(spec, kind: str | None = None):

@@ -185,6 +185,30 @@ def test_convert_refuses_nan_entries_and_bool_dims(capsys, tmp_path, kind, where
     assert not out_file.exists()
 
 
+def _write_directory(path):
+    path.mkdir()
+
+
+def _write_latin1(path):
+    path.write_bytes('{"type": "pure", "dims": [2], "amplitudes": [[1, 0], [0, 0]], "note": "\u00e9"}'.encode("latin-1"))
+
+
+def _write_ragged_matrix(path):
+    path.write_text('{"type":"mixed","dims":[2],"matrix":[[[1,0],[0,0]],[[0,0]]]}')
+
+
+@pytest.mark.parametrize("write", [_write_directory, _write_latin1, _write_ragged_matrix],
+                         ids=["directory", "not-utf8", "ragged-matrix"])
+def test_convert_unreadable_state_exits_3(capsys, tmp_path, write):
+    """A path that cannot be read, bytes that are not UTF-8, and matrix rows of unequal
+    length are parse failures (exit 3), not tracebacks."""
+    state, out_file = tmp_path / "d.json", tmp_path / "o.json"
+    write(state)
+    code, out, err = run_cli(capsys, "convert", "--state", str(state), "--out", str(out_file))
+    assert code == 3 and out == "" and err.startswith("gme:")
+    assert not out_file.exists()
+
+
 def test_parse_failure_exit_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "pure", "--state", "no_such_family:x=1")
     assert code == 3

@@ -121,7 +121,7 @@ def test_fun_grad_acts_on_stacks(name):
 
 
 def test_unregistered_objective_rejected():
-    fake = Objective("mystery", lambda t: 0.0, lambda t: t, None)
+    fake = Objective("mystery", lambda t: (np.zeros(np.shape(t)[:-1]), t), None)
     with pytest.raises(StateError):
         gradient(fake, np.zeros(3))
     with pytest.raises(StateError):

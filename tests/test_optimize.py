@@ -4,14 +4,13 @@ import json
 import os
 import subprocess
 import sys
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import optimize as sopt
 
 import gme
-from gme.optimizers import Objective, OptimizerConfig, minimize
+from gme.optimizers import OptimizerConfig, minimize
 from gme.states import StateError
 from gme.trivializations import BoundedRankAnsatz, ProductAnsatz
 from gme.variational import (
@@ -174,16 +173,6 @@ def test_per_restart_iterations_sum_to_total():
     est = kgme_pure_multipartite(ghz_state(), 2, OptimizerConfig(restarts=3, max_iterations=100))
     assert est.per_restart_iterations.shape == (3,)
     assert int(est.per_restart_iterations.sum()) == est.iterations_used
-
-
-def test_objective_from_one_point_functions():
-    """An Objective built from fun and grad alone is minimized row by row."""
-    c = np.array([3.0, -1.0])
-    obj = Objective("q", lambda t: float(np.sum((t - c) ** 2)), lambda t: 2.0 * (t - c),
-                    SimpleNamespace(input_len=2))
-    config = OptimizerConfig(restarts=2)
-    np.testing.assert_array_equal(minimize(obj, config).per_restart_values,
-                                  minimize(make_quadratic(c), config).per_restart_values)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,18 @@ def test_oracle_values():
         oracle_gme(StateSpec("w"), 3)
 
 
+@pytest.mark.parametrize("spec", [
+    StateSpec("isotropic", {"d": 4}),
+    StateSpec("werner", {"d": 4, "alpha": 0.5, "typo": 3}),
+], ids=["missing-key", "unknown-key"])
+def test_programmatic_specs_follow_the_grammar(spec):
+    """A spec built in code is held to the keys its family takes, as a parsed one is."""
+    with pytest.raises(StateError):
+        canonical_mixed(spec)
+    with pytest.raises(StateError):
+        oracle_gme(spec, 2)
+
+
 def test_oracle_checks_parameters_without_building(monkeypatch):
     """The oracle applies the family's parameter rule without constructing the d^2 x d^2 state."""
 

@@ -37,10 +37,14 @@ def _emit(record):
     sys.stdout.write(json.dumps(record, sort_keys=True) + "\n")
 
 
+def _emit_result(value, k, method, converged, seed, **extra):
+    """One result record: the five keys every subcommand but ``criteria`` prints, plus ``extra``."""
+    _emit({"value": value, "k": k, "method": method, "converged": converged, "seed": seed, **extra})
+
+
 def _emit_estimate(est, args):
     """The record of a variational subcommand."""
-    _emit({"value": est.value, "k": args.k, "method": "variational",
-           "converged": est.converged, "seed": args.seed})
+    _emit_result(est.value, args.k, "variational", est.converged, args.seed)
 
 
 def _load_any(text):
@@ -100,8 +104,10 @@ def _parse_partition(text, n_parties):
             raise CliError(f"bad partition {text!r}", EXIT_USAGE) from exc
 
     lt, rt = side(left), side(right)
-    if set(lt) | set(rt) != set(range(n_parties)) or set(lt) & set(rt):
-        raise CliError(f"partition {text!r} must split parties 0..{n_parties - 1}", EXIT_USAGE)
+    # each party exactly once, and on each side at least one
+    if sorted(lt + rt) != list(range(n_parties)) or not (lt and rt):
+        raise CliError(f"partition {text!r} must split parties 0..{n_parties - 1} "
+                       "into two non-empty sides", EXIT_USAGE)
     return lt
 
 
@@ -175,16 +181,8 @@ def cmd_bound(args):
         raise CliError("subcommand 'bound' needs a mixed state or subspace", EXIT_USAGE)
     if not np.isfinite(value):
         raise CliError("solver failed to produce a finite bound", EXIT_NUMERIC)
-    _emit(
-        {
-            "value": value,
-            "k": args.k,
-            "method": f"sdp-{relaxation}",
-            "converged": sol.status == "optimal",
-            "seed": args.seed,
-            "certifying": bool(value > sdp.NONCERTIFYING),
-        }
-    )
+    _emit_result(value, args.k, f"sdp-{relaxation}", sol.status == "optimal", args.seed,
+                 certifying=bool(value > sdp.NONCERTIFYING))
 
 
 def cmd_criteria(args):
@@ -224,16 +222,8 @@ def cmd_transform(args):
         raise CliError("subcommand 'transform' needs pure states", EXIT_USAGE)
     if args.distill is not None:
         report = distill_probability(src, args.distill)
-        _emit(
-            {
-                "value": report.optimal_probability,
-                "k": report.binding_index,
-                "method": "distill",
-                "converged": True,
-                "deterministic": report.deterministic_possible,
-                "seed": args.seed,
-            }
-        )
+        _emit_result(report.optimal_probability, report.binding_index, "distill", True, args.seed,
+                     deterministic=report.deterministic_possible)
         return
     if args.dst is None:
         raise CliError("transform needs --to or --distill", EXIT_USAGE)
@@ -243,28 +233,12 @@ def cmd_transform(args):
     if src.dims != dst.dims:
         raise CliError("source and target layouts differ", EXIT_USAGE)
     report = vidal_probability(src, dst)
-    _emit(
-        {
-            "value": report.optimal_probability,
-            "k": report.binding_index,
-            "method": "vidal",
-            "converged": True,
-            "deterministic": bool(nielsen_transformable(src, dst)),
-            "seed": args.seed,
-        }
-    )
+    _emit_result(report.optimal_probability, report.binding_index, "vidal", True, args.seed,
+                 deterministic=bool(nielsen_transformable(src, dst)))
 
 
 def cmd_oracle(args):
-    _emit(
-        {
-            "value": oracle_gme(parse_spec_string(args.state), args.k),
-            "k": args.k,
-            "method": "oracle",
-            "converged": True,
-            "seed": args.seed,
-        }
-    )
+    _emit_result(oracle_gme(parse_spec_string(args.state), args.k), args.k, "oracle", True, args.seed)
 
 
 def cmd_haar(args):
@@ -285,17 +259,8 @@ def cmd_haar(args):
         samples_path, hist_path = haar_experiment(config)
     except OSError as exc:
         raise CliError(f"cannot write outputs: {exc}", EXIT_USAGE) from exc
-    _emit(
-        {
-            "value": args.samples,
-            "k": None,
-            "method": "haar",
-            "converged": True,
-            "seed": args.seed,
-            "samples_csv": samples_path,
-            "histogram_csv": hist_path,
-        }
-    )
+    _emit_result(args.samples, None, "haar", True, args.seed,
+                 samples_csv=samples_path, histogram_csv=hist_path)
 
 
 def cmd_convert(args):
@@ -304,7 +269,7 @@ def cmd_convert(args):
         save_state(obj, args.out)
     except OSError as exc:
         raise CliError(f"cannot write {args.out}: {exc}", EXIT_USAGE) from exc
-    _emit({"value": None, "k": None, "method": "convert", "converged": True, "seed": 0, "path": args.out})
+    _emit_result(None, None, "convert", True, 0, path=args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -65,10 +65,14 @@ def _load_lbfgsb():
 _lbfgsb = _load_lbfgsb()
 
 # setulb's options, as scipy.optimize.minimize(method="L-BFGS-B") passes them
-# for ftol=1e-18 and maxls=60; MAXFUN is scipy's default evaluation cap
+# for ftol=1e-18 and maxls=60; MEMORY (maxcor) and MAXFUN are scipy's defaults
 FACTR = 1e-18 / np.finfo(float).eps
 MAXLS = 60
 MAXFUN = 15000
+MEMORY = 10
+# the momentum fallback's heavy-ball step: v <- MOMENTUM v + STEP_SIZE g, x <- x - v
+STEP_SIZE = 0.05
+MOMENTUM = 0.9
 # setulb task codes: it needs f and g at x; it has taken a new iterate
 _FG, _NEW_X = 3, 1
 
@@ -80,9 +84,6 @@ class OptimizerConfig:
     max_iterations: int = 1000
     gradient_tolerance: float = 1e-10
     seed: int = 0
-    memory_size: int = 10
-    step_size: float = 0.05
-    momentum: float = 0.9
 
     def __post_init__(self):
         if self.restarts < 1:
@@ -143,11 +144,11 @@ class _LbfgsbRun:
     """
 
     def __init__(self, x0, maxiter: int, config: OptimizerConfig):
-        n, m = x0.size, config.memory_size
+        n, m = x0.size, MEMORY
         self.x = np.array(x0, dtype=float)
         self.f = np.array(0.0)
         self.g = np.zeros(n)
-        self.maxiter, self.m, self.pgtol = maxiter, m, config.gradient_tolerance
+        self.maxiter, self.pgtol = maxiter, config.gradient_tolerance
         self.free = np.zeros(n)  # bounds, unused: nbd = 0 marks every variable free
         self.nbd = np.zeros(n, np.int32)
         self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
@@ -164,7 +165,7 @@ class _LbfgsbRun:
         while True:
             # a fresh copy each call, as scipy passes it: setulb may write into g
             self.g = self.g.astype(np.float64)
-            _lbfgsb.setulb(self.m, self.x, self.free, self.free, self.nbd, self.f, self.g,
+            _lbfgsb.setulb(MEMORY, self.x, self.free, self.free, self.nbd, self.f, self.g,
                            FACTR, self.pgtol, self.wa, self.iwa, self.task, self.lsave,
                            self.isave, self.dsave, MAXLS, self.ln_task)
             if self.task[0] == _FG:
@@ -255,7 +256,7 @@ class _MomentumRestart:
         if np.max(np.abs(g)) <= config.gradient_tolerance:
             self.value, self.converged, self.finished = float(f), True, True
             return
-        self.v = config.momentum * self.v + config.step_size * g
+        self.v = MOMENTUM * self.v + STEP_SIZE * g
         self.x = self.x - self.v
 
 

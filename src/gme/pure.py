@@ -29,13 +29,7 @@ class TransformReport:
     binding_index: int
 
 
-def _default_bipartition(psi: PureState, bipartition):
-    if bipartition is None:
-        return (0,)
-    return bipartition
-
-
-def k_gme_pure(psi: PureState, bipartition=None, k: int = 2) -> float:
+def k_gme_pure(psi: PureState, bipartition=(0,), k: int = 2) -> float:
     """Geometric measure of k-bounded Schmidt rank: the tail eigenvalue sum.
 
     k = 1 returns 1 by convention; k beyond the Schmidt rank returns 0.
@@ -44,24 +38,24 @@ def k_gme_pure(psi: PureState, bipartition=None, k: int = 2) -> float:
         raise StateError(f"k must be >= 1, got {k}")
     if k == 1:
         return 1.0
-    lam = schmidt_spectrum(psi, _default_bipartition(psi, bipartition))
+    lam = schmidt_spectrum(psi, bipartition)
     return float(max(0.0, 1.0 - lam[: k - 1].sum()))
 
 
-def entanglement_entropy(psi: PureState, bipartition=None) -> float:
+def entanglement_entropy(psi: PureState, bipartition=(0,)) -> float:
     """Entropy (base 2) of the reduced spectrum, with 0 log 0 = 0."""
-    lam = schmidt_spectrum(psi, _default_bipartition(psi, bipartition))
+    lam = schmidt_spectrum(psi, bipartition)
     lam = lam[lam > 1e-15]
     return float(-(lam * np.log2(lam)).sum())
 
 
-def linear_entropy(psi: PureState, bipartition=None) -> float:
+def linear_entropy(psi: PureState, bipartition=(0,)) -> float:
     """1 - purity of the reduced state."""
-    lam = schmidt_spectrum(psi, _default_bipartition(psi, bipartition))
+    lam = schmidt_spectrum(psi, bipartition)
     return float(max(0.0, 1.0 - (lam**2).sum()))
 
 
-def concurrence_pure(psi: PureState, bipartition=None) -> float:
+def concurrence_pure(psi: PureState, bipartition=(0,)) -> float:
     """sqrt(2 (1 - Tr rho_A^2))."""
     return float(np.sqrt(2.0 * linear_entropy(psi, bipartition)))
 
@@ -111,13 +105,12 @@ def majorization(x, y) -> MajorizationVerdict:
     return MajorizationVerdict(weak and equal_totals, weak, (xs, ys))
 
 
-def nielsen_transformable(psi: PureState, phi: PureState, bipartition=None) -> bool:
+def nielsen_transformable(psi: PureState, phi: PureState, bipartition=(0,)) -> bool:
     """Deterministic LOCC convertibility: target spectrum majorizes the source."""
     if psi.dims != phi.dims:
         raise StateError("states must share one layout")
-    bp = _default_bipartition(psi, bipartition)
-    lam_psi = schmidt_spectrum(psi, bp)
-    lam_phi = schmidt_spectrum(phi, bp)
+    lam_psi = schmidt_spectrum(psi, bipartition)
+    lam_phi = schmidt_spectrum(phi, bipartition)
     return majorization(lam_phi, lam_psi).majorizes
 
 
@@ -126,13 +119,12 @@ def _schmidt_rank(lam) -> int:
     return max(1, int(np.count_nonzero(lam > 1e-24)))
 
 
-def vidal_probability(psi: PureState, phi: PureState, bipartition=None) -> TransformReport:
+def vidal_probability(psi: PureState, phi: PureState, bipartition=(0,)) -> TransformReport:
     """Optimal LOCC conversion probability: min over k of tail-sum ratios."""
     if psi.dims != phi.dims:
         raise StateError("states must share one layout")
-    bp = _default_bipartition(psi, bipartition)
-    lam_psi = schmidt_spectrum(psi, bp)
-    lam_phi = schmidt_spectrum(phi, bp)
+    lam_psi = schmidt_spectrum(psi, bipartition)
+    lam_phi = schmidt_spectrum(phi, bipartition)
     r = _schmidt_rank(lam_phi)
     best, best_k = np.inf, 1
     for k in range(1, r + 1):
@@ -146,10 +138,9 @@ def vidal_probability(psi: PureState, phi: PureState, bipartition=None) -> Trans
     return TransformReport(p >= 1.0 - 1e-10, p, best_k)
 
 
-def distill_probability(psi: PureState, m: int, bipartition=None) -> TransformReport:
+def distill_probability(psi: PureState, m: int, bipartition=(0,)) -> TransformReport:
     """Optimal probability of distilling the m-dimensional maximally entangled state."""
-    bp = _default_bipartition(psi, bipartition)
-    lam = schmidt_spectrum(psi, bp)
+    lam = schmidt_spectrum(psi, bipartition)
     if m < 1 or m > lam.size:
         raise StateError(f"target dimension m={m} exceeds the local dimension {lam.size}")
     curve = distill_curve(lam, m)

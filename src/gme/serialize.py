@@ -18,7 +18,7 @@ import json
 import numpy as np
 
 from .states import DensityMatrix, PureState, StateError, Subspace
-from .zoo import FAMILIES, StateSpec, SubspaceSpec, family_signature
+from .zoo import FAMILIES, StateSpec, SubspaceSpec, _family_args, family_signature
 
 LOAD_ATOL = 1e-9   # files off by more than this fail to parse
 
@@ -153,33 +153,29 @@ def load_state(path):
 def parse_spec_string(text: str):
     """Parse ``name`` or ``name:key=value,key=value`` into a typed spec.
 
-    The family table in ``gme.zoo`` decides the names, the keys, their types
-    and which keys may be left out.
+    This is the string grammar only: items split on ``,`` and ``=``, and a
+    malformed item or a repeated key is refused.  The family table in
+    ``gme.zoo`` then decides the names, the keys, their types and which keys
+    may be left out; any refusal comes back as ``StateFileError``.
     """
     text = text.strip()
     name, _, tail = text.partition(":")
     name = name.strip()
-    if name not in FAMILIES:
-        raise StateFileError(f"unknown family {name!r}")
-    types, required, kind = family_signature(name)
-    params = {}
+    raw = {}
     if tail:
         for item in tail.split(","):
             key, sep, value = item.partition("=")
             key = key.strip()
             if not sep:
                 raise StateFileError(f"malformed parameter {item!r} (expected key=value)")
-            if key not in types:
-                raise StateFileError(f"unknown key {key!r} for family {name!r}")
-            if key in params:
+            if key in raw:
                 raise StateFileError(f"key {key!r} given twice for family {name!r}")
-            try:
-                params[key] = types[key](value.strip())
-            except ValueError as exc:
-                raise StateFileError(f"value for {key!r} is not a number: {value!r}") from exc
-    missing = required - set(params)
-    if missing:
-        raise StateFileError(f"family {name!r} is missing parameters {sorted(missing)}")
+            raw[key] = value.strip()
+    try:
+        params = _family_args(StateSpec(name, raw))
+    except ValueError as exc:
+        raise StateFileError(str(exc)) from exc
+    kind = family_signature(name)[2]
     return (SubspaceSpec if kind == "subspace" else StateSpec)(name, params)
 
 

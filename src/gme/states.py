@@ -231,31 +231,31 @@ def partial_transpose(rho: DensityMatrix, party_set) -> np.ndarray:
     return _partial_transpose_arr(rho.matrix, rho.dims, party_set)
 
 
-def schmidt_decompose(psi: PureState, bipartition) -> SchmidtDecomposition:
-    """Schmidt decomposition of a pure state across the bipartition (K | complement)."""
+def _schmidt_matrix(psi: PureState, bipartition):
+    """The amplitudes as a (K, complement) matrix, with the complement's parties."""
     left = _check_parties(psi.dims, bipartition)
     right = tuple(i for i in range(len(psi.dims)) if i not in left)
-    if not right:
-        raise StateError("bipartition must leave a non-empty complement")
-    if np.linalg.norm(psi.amplitudes) < RANK_CUTOFF:
-        raise StateError("zero vector has no Schmidt decomposition")
     reordered = permute_parties_vector(psi.amplitudes, psi.dims, left + right)
     d_left = total_dim([psi.dims[i] for i in left])
     d_right = total_dim([psi.dims[i] for i in right])
-    u, s, vh = np.linalg.svd(reordered.reshape(d_left, d_right), full_matrices=False)
+    return reordered.reshape(d_left, d_right), right
+
+
+def schmidt_decompose(psi: PureState, bipartition) -> SchmidtDecomposition:
+    """Schmidt decomposition of a pure state across the bipartition (K | complement)."""
+    mat, right = _schmidt_matrix(psi, bipartition)
+    if not right:
+        raise StateError("bipartition must leave a non-empty complement")
+    u, s, vh = np.linalg.svd(mat, full_matrices=False)
     r = max(1, int(np.count_nonzero(s > RANK_CUTOFF)))
     return SchmidtDecomposition(s[:r].copy(), u[:, :r].copy(), vh[:r, :].T.copy())
 
 
 def schmidt_spectrum(psi: PureState, bipartition) -> np.ndarray:
     """Eigenvalues (squared Schmidt coefficients) in non-increasing order, full length."""
-    left = _check_parties(psi.dims, bipartition)
-    right = tuple(i for i in range(len(psi.dims)) if i not in left)
-    reordered = permute_parties_vector(psi.amplitudes, psi.dims, left + right)
-    d_left = total_dim([psi.dims[i] for i in left])
-    d_right = total_dim([psi.dims[i] for i in right])
-    s = np.linalg.svd(reordered.reshape(d_left, d_right), compute_uv=False)
-    lam = np.zeros(min(d_left, d_right))
+    mat, _ = _schmidt_matrix(psi, bipartition)
+    s = np.linalg.svd(mat, compute_uv=False)
+    lam = np.zeros(min(mat.shape))
     lam[: s.size] = s**2
     return lam
 
@@ -286,13 +286,7 @@ def orthonormal_basis(vectors) -> np.ndarray:
 
 def complement_projector(states) -> Projector:
     """Projector onto the orthogonal complement of the span of the given states."""
-    states = list(states)
-    if not states:
-        raise StateError("need at least one state")
-    dims = states[0].dims
-    if any(s.dims != dims for s in states):
-        raise StateError("dimension mismatch among spanning states")
-    return _complement_of(orthonormal_basis([s.amplitudes for s in states]))
+    return Subspace.from_states(states).complement
 
 
 def _complement_of(basis) -> Projector:
@@ -330,13 +324,14 @@ def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     return min(max(val, 0.0), 1.0)
 
 
-def sample_haar_pure(dims, seed) -> PureState:
+def sample_haar_pure(dims, seed: int) -> PureState:
     """Haar-random pure state: normalized i.i.d. standard complex Gaussian amplitudes.
 
-    ``seed`` may be an integer or a caller-owned ``np.random.Generator``.
+    The amplitudes come from ``default_rng(seed)``, real parts first, so one
+    non-negative integer seed fixes the state.
     """
     dims = _as_dims(dims)
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(check_seed(seed))
+    rng = np.random.default_rng(check_seed(seed))
     d = total_dim(dims)
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(z / np.linalg.norm(z), dims)

@@ -132,8 +132,9 @@ class Positive:
 
 @dataclass(frozen=True)
 class Simplex:
+    """The probability simplex through the softmax map, exp(theta) / sum exp(theta)."""
+
     n: int
-    inner: str = "exp"
 
     @property
     def input_len(self) -> int:
@@ -141,11 +142,8 @@ class Simplex:
 
     def value(self, theta):
         theta = check_finite(theta)
-        if self.inner == "exp":
-            shifted = np.exp(theta - theta.max())
-            return shifted / shifted.sum()
-        pos = softplus(theta)
-        return pos / pos.sum()
+        shifted = np.exp(theta - theta.max())
+        return shifted / shifted.sum()
 
 
 @dataclass(frozen=True)

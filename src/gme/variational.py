@@ -17,6 +17,7 @@ from .states import (
     PureState,
     StateError,
     Subspace,
+    check_seed,
     total_dim,
 )
 from .trivializations import (
@@ -138,10 +139,15 @@ def make_subspace_product(subspace: Subspace) -> Objective:
     return Objective("subspace_product", fun_grad, ansatz)
 
 
-def _rho_eigendata(rho: DensityMatrix):
+def _support(rho: DensityMatrix):
+    """Eigenvalues of rho above ``EIG_CUTOFF``, ascending, and their eigenvectors as columns."""
     vals, vecs = np.linalg.eigh(rho.matrix)
     keep = vals > EIG_CUTOFF
-    vals, vecs = vals[keep], vecs[:, keep]
+    return vals[keep], vecs[:, keep]
+
+
+def _rho_eigendata(rho: DensityMatrix):
+    vals, vecs = _support(rho)
     lam_tilde = vecs * np.sqrt(vals)
     return lam_tilde, int(vals.size)
 
@@ -270,11 +276,8 @@ def gme_mixed_multipartite(
 
 def range_subspace(rho: DensityMatrix) -> Subspace:
     """The span of the eigenvectors of rho with eigenvalue above the cutoff."""
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    states = [
-        PureState(vecs[:, i], rho.dims) for i in range(vals.size) if vals[i] > EIG_CUTOFF
-    ]
-    return Subspace.from_states(states)
+    _, vecs = _support(rho)
+    return Subspace.from_states(PureState(v, rho.dims) for v in vecs.T)
 
 
 def range_lower_bound(
@@ -322,6 +325,9 @@ def perturbation_experiment(
     """
     if norm_bound < 0:
         raise StateError("norm_bound must be non-negative")
+    if trials < 1:
+        raise StateError(f"need at least one trial, got trials={trials}")
+    check_seed(seed)
     d = total_dim(subspace.dims)
     values = []
     for t in range(trials):

@@ -421,8 +421,9 @@ def family_signature(name: str) -> tuple[dict, frozenset, str]:
 def _family_args(spec, kind: str | None = None) -> dict:
     """The spec's parameters cast to its constructor's types.
 
-    As in the spec grammar, a key the constructor does not take and a missing
-    key without a default are refused.
+    Refuses an unknown name (or one of another kind than ``kind``), a key the
+    constructor does not take, a missing key without a default, and a value
+    that does not cast; the spec grammar of ``gme.serialize`` relies on this.
     """
     if spec.name not in FAMILIES or kind not in (None, family_signature(spec.name)[2]):
         raise StateError(f"unknown {_KIND_NOUNS[kind]} {spec.name!r}")
@@ -433,7 +434,13 @@ def _family_args(spec, kind: str | None = None) -> dict:
     missing = sorted(required - set(spec.params))
     if missing:
         raise StateError(f"family {spec.name!r} is missing parameters {missing}")
-    return {key: types[key](value) for key, value in spec.params.items()}
+    args = {}
+    for key, value in spec.params.items():
+        try:
+            args[key] = types[key](value)
+        except (TypeError, ValueError) as exc:
+            raise StateError(f"value for {key!r} is not a number: {value!r}") from exc
+    return args
 
 
 def build_family(spec, kind: str | None = None):
@@ -512,7 +519,7 @@ def oracle_gme(spec, k: int) -> float:
     if name in ("w", "w_tilde"):
         return 5.0 / 9.0
     if name in ("bell", "max_entangled"):
-        return 1.0 - 1.0 / p.get("d", 2)
+        return isotropic_kgme(p.get("d", 2), 1.0, 2)
     raise StateError(f"no closed-form oracle for {name!r}")
 
 
@@ -569,14 +576,17 @@ def _lower_convex_envelope(xs, ys):
     return hull
 
 
-def dicke_mixture_gme(n: int, k1: int, k2: int, r: float, grid_size: int = 513) -> float:
+DICKE_MIXTURE_GRID = 513  # points of the uniform weight grid under the convex envelope
+
+
+def dicke_mixture_gme(n: int, k1: int, k2: int, r: float) -> float:
     """Convex-roof GME of the rank-2 Dicke mixture at weight r.
 
-    Evaluates the pure-state curve on a uniform weight grid and returns the
-    lower convex envelope at r.
+    Evaluates the pure-state curve on ``DICKE_MIXTURE_GRID`` evenly spaced
+    weights in [0, 1] and returns the lower convex envelope at r.
     """
     _check_dicke_mixture(n, k1, k2, r)
-    ws = np.linspace(0.0, 1.0, grid_size)
+    ws = np.linspace(0.0, 1.0, DICKE_MIXTURE_GRID)
     es = np.array([dicke_mixture_pure_gme(n, k1, k2, w) for w in ws])
     hull = _lower_convex_envelope(ws, es)
     xs = [pt[0] for pt in hull]

@@ -300,3 +300,35 @@ def test_convert_roundtrip(capsys, tmp_path):
     from gme.serialize import load_state
 
     np.testing.assert_array_equal(load_state(out_file).amplitudes, bell_state().amplitudes)
+
+
+@pytest.mark.parametrize("partition", ["00|12", "|012", "012|", "0|112"])
+def test_malformed_partition_exits_2(capsys, partition):
+    """A repeated party index or an empty side is a usage error, not a traceback or a value."""
+    code, out, err = run_cli(
+        capsys, "mixed", "--state", "upb_shifts_state", "--partition", partition,
+        "--k", "2", "--restarts", "1", "--ansatz-terms", "8", "--max-iterations", "5",
+    )
+    assert code == 2 and out == "" and err.startswith("gme:")
+
+
+FIVE_KEYS = {"value", "k", "method", "converged", "seed"}
+FAST_FLAGS = ("--restarts", "1", "--max-iterations", "5")
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (("pure", "--state", "ghz", *FAST_FLAGS), set()),
+    (("subspace", "--subspace", "two_by_d_theta:d=3,theta=1.2", *FAST_FLAGS), set()),
+    (("mixed", "--state", "isotropic:d=2,F=0.9", *FAST_FLAGS), set()),
+    (("oracle", "--state", "bell"), set()),
+    (("bound", "--state", "isotropic:d=2,F=0.9"), {"certifying"}),
+    (("transform", "--from", "max_entangled:d=2", "--to", "bell"), {"deterministic"}),
+    (("transform", "--from", "max_entangled:d=3", "--distill", "2"), {"deterministic"}),
+    (("haar", "--samples", "3", "--out", "{tmp}"), {"samples_csv", "histogram_csv"}),
+    (("convert", "--state", "bell", "--out", "{tmp}/bell.json"), {"path"}),
+], ids=["pure", "subspace", "mixed", "oracle", "bound", "transform-to", "transform-distill", "haar", "convert"])
+def test_record_keys(capsys, tmp_path, argv, extra):
+    """Each subcommand's record has the five shared keys plus exactly its own."""
+    code, out, _ = run_cli(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
+    assert code == 0
+    assert set(_record(out)) == FIVE_KEYS | extra

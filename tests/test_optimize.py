@@ -10,7 +10,7 @@ import pytest
 from scipy import optimize as sopt
 
 import gme
-from gme.optimizers import OptimizerConfig, minimize
+from gme.optimizers import MEMORY, OptimizerConfig, minimize
 from gme.states import StateError
 from gme.trivializations import BoundedRankAnsatz, ProductAnsatz
 from gme.variational import (
@@ -60,7 +60,7 @@ def test_value_is_min_of_restarts(rng):
 
 def test_momentum_method():
     cfg = OptimizerConfig(
-        method="momentum", restarts=1, max_iterations=4000, step_size=0.05,
+        method="momentum", restarts=1, max_iterations=4000,
         gradient_tolerance=1e-9,
     )
     est = minimize(make_quadratic([1.0, -1.0]), cfg)
@@ -97,7 +97,7 @@ def _scipy_restarts(obj, config):
         while used < config.max_iterations:
             res = sopt.minimize(
                 obj.fun, x, jac=obj.grad, method="L-BFGS-B",
-                options={"maxiter": config.max_iterations - used, "maxcor": config.memory_size,
+                options={"maxiter": config.max_iterations - used, "maxcor": MEMORY,
                          "ftol": 1e-18, "gtol": config.gradient_tolerance, "maxls": 60},
             )
             used += max(int(res.nit), 1)
@@ -164,7 +164,7 @@ def test_restart_rows_are_independent_lbfgs(name):
 def test_restart_rows_are_independent_momentum():
     """Tolerance 0, with rows that stop at different steps."""
     config = OptimizerConfig(method="momentum", restarts=3, max_iterations=2000,
-                             step_size=0.05, gradient_tolerance=1e-9, seed=11)
+                             gradient_tolerance=1e-9, seed=11)
     est = _assert_rows_independent(make_quadratic([1.0, -2.0, 0.5]), config)
     assert len(set(est.per_restart_iterations.tolist())) > 1
 

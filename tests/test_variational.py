@@ -211,3 +211,10 @@ def test_perturbation_robustness_ordering():
         rep = perturbation_experiment(sub, 2, 0.25, trials=4, seed=7, config=FAST)
         minima.append(rep.min_value)
     assert minima[0] > minima[1] > minima[2] > 0.0
+
+
+@pytest.mark.parametrize("trials, seed", [(0, 0), (-2, 0), (1, -1)], ids=["no-trials", "negative-trials", "negative-seed"])
+def test_perturbation_refuses_bad_trials_and_seed(trials, seed):
+    sub = two_by_d_theta_subspace(3, np.pi / 2)
+    with pytest.raises(StateError):
+        perturbation_experiment(sub, 2, 0.1, trials=trials, seed=seed, config=FAST)

@@ -221,6 +221,14 @@ def test_programmatic_specs_follow_the_grammar(spec):
         oracle_gme(spec, 2)
 
 
+def test_spec_value_that_is_not_a_number_names_its_key():
+    """A programmatic spec is refused with the message a parsed one gets."""
+    spec = StateSpec("isotropic", {"d": 4, "F": "x"})
+    for build in (canonical_mixed, lambda s: oracle_gme(s, 2)):
+        with pytest.raises(StateError, match="value for 'F' is not a number: 'x'"):
+            build(spec)
+
+
 def test_oracle_checks_parameters_without_building(monkeypatch):
     """The oracle applies the family's parameter rule without constructing the d^2 x d^2 state."""
 

@@ -60,7 +60,6 @@ def _load_any(text):
 
 def _optimizer_config(args) -> OptimizerConfig:
     return OptimizerConfig(
-        method=args.optimizer,
         restarts=args.restarts,
         gradient_tolerance=args.tol,
         seed=args.seed,
@@ -72,7 +71,6 @@ def _add_optimizer_flags(parser):
     parser.add_argument("--restarts", type=int, default=10)
     parser.add_argument("--tol", type=float, default=1e-10)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--optimizer", choices=("lbfgs", "momentum"), default="lbfgs")
     parser.add_argument("--max-iterations", type=int, default=1000)
     parser.add_argument(
         "--ansatz-terms",
@@ -91,15 +89,20 @@ def _ansatz_terms(args, rho):
 
 
 def _parse_partition(text, n_parties):
-    """'0|12' or '0,1|2' style bipartition; returns the left party tuple."""
+    """'0|12' or '0,1|2' style bipartition; returns the left party tuple.
+
+    A partition with a comma lists comma-separated indices on each side, so
+    '0,1,2,3,4,5,6,7,8,9|10' names party 10; one without reads one digit per
+    party.
+    """
     left, sep, right = text.partition("|")
     if not sep:
         raise CliError(f"partition {text!r} needs a '|'", EXIT_USAGE)
+    commas = "," in text
 
     def side(chunk):
-        chunk = chunk.replace(",", "")
         try:
-            return tuple(sorted(int(ch) for ch in chunk))
+            return tuple(sorted(int(p) for p in (chunk.split(",") if commas else chunk)))
         except ValueError as exc:
             raise CliError(f"bad partition {text!r}", EXIT_USAGE) from exc
 
@@ -294,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mixed", help="variational k-GME of a mixed state")
     p.add_argument("--state", required=True)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--partition", default=None, help="bipartition like 0|12 to regroup parties")
+    p.add_argument("--partition", default=None,
+                   help="bipartition like 0|12 to regroup parties: one digit per party, or "
+                        "comma-separated indices once the partition has a comma (0,1|2,10)")
     _add_optimizer_flags(p)
     p.set_defaults(func=cmd_mixed)
 

@@ -9,15 +9,14 @@ stack, so restart i follows exactly the iterates it would follow alone: the
 results do not depend on how many restarts run, nor on which of them are still
 running.
 
-The default method is scipy's L-BFGS-B, driven through the reverse-communication
-loop of its ``setulb`` routine with one workspace per restart, and with the
-options and stopping rules that ``scipy.optimize.minimize(method="L-BFGS-B")``
-applies.  ``setulb`` comes from SciPy's compiled extension file; the
+Each restart runs scipy's L-BFGS-B, driven through the reverse-communication
+loop of its ``setulb`` routine with a workspace of its own, and with the
+options and stopping rules that ``scipy.optimize.minimize`` applies for
+L-BFGS-B.  ``setulb`` comes from SciPy's compiled extension file; the
 ``scipy.optimize`` package itself is not imported.  An inner run that stops
 with iterations left and progress made is started afresh from its final point
 (new curvature memory), which keeps descending on ill-scaled objectives after
-a failed line search.  A plain
-momentum descent is available as a fallback; it steps the same stacked block.
+a failed line search.
 """
 
 from __future__ import annotations
@@ -64,22 +63,18 @@ def _load_lbfgsb():
 
 _lbfgsb = _load_lbfgsb()
 
-# setulb's options, as scipy.optimize.minimize(method="L-BFGS-B") passes them
+# setulb's options, as scipy.optimize.minimize passes them to L-BFGS-B
 # for ftol=1e-18 and maxls=60; MEMORY (maxcor) and MAXFUN are scipy's defaults
 FACTR = 1e-18 / np.finfo(float).eps
 MAXLS = 60
 MAXFUN = 15000
 MEMORY = 10
-# the momentum fallback's heavy-ball step: v <- MOMENTUM v + STEP_SIZE g, x <- x - v
-STEP_SIZE = 0.05
-MOMENTUM = 0.9
 # setulb task codes: it needs f and g at x; it has taken a new iterate
 _FG, _NEW_X = 3, 1
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    method: str = "lbfgs"
     restarts: int = 10
     max_iterations: int = 1000
     gradient_tolerance: float = 1e-10
@@ -92,8 +87,6 @@ class OptimizerConfig:
             raise StateError("need at least one iteration")
         if not (math.isfinite(self.gradient_tolerance) and self.gradient_tolerance >= 0):
             raise StateError(f"gradient tolerance must be finite and >= 0, got {self.gradient_tolerance}")
-        if self.method not in ("lbfgs", "momentum"):
-            raise StateError(f"unknown optimizer method {self.method!r}")
         check_seed(self.seed)
 
     def with_(self, **kwargs) -> "OptimizerConfig":
@@ -227,39 +220,6 @@ class _LbfgsRestart:
         self.run.tell(f, g)
 
 
-class _MomentumRestart:
-    """One restart of heavy-ball descent, stopped once max|g| <= gradient_tolerance.
-
-    After ``max_iterations`` steps without stopping, one more evaluation gives
-    the value at the final point.
-    """
-
-    def __init__(self, x0, config: OptimizerConfig):
-        self.config = config
-        self.x, self.v = np.array(x0, dtype=float), np.zeros(len(x0))
-        self.value, self.used = np.inf, 0
-        self.converged = self.finished = False
-
-    @property
-    def point(self):
-        return self.x
-
-    def wants_evaluation(self) -> bool:
-        return not self.finished
-
-    def tell(self, f, g):
-        config = self.config
-        if self.used == config.max_iterations:
-            self.value, self.finished = float(f), True
-            return
-        self.used += 1
-        if np.max(np.abs(g)) <= config.gradient_tolerance:
-            self.value, self.converged, self.finished = float(f), True, True
-            return
-        self.v = MOMENTUM * self.v + STEP_SIZE * g
-        self.x = self.x - self.v
-
-
 def minimize(obj: Objective, config: OptimizerConfig | None = None) -> GmeEstimate:
     """Minimize a registered objective with seeded multi-restart local search.
 
@@ -267,8 +227,8 @@ def minimize(obj: Objective, config: OptimizerConfig | None = None) -> GmeEstima
     by the lowest restart index, so the outcome does not depend on scheduling.
     """
     config = config or OptimizerConfig()
-    kind = _LbfgsRestart if config.method == "lbfgs" else _MomentumRestart
-    restarts = [kind(np.random.default_rng(config.seed + i).standard_normal(obj.input_len), config)
+    restarts = [_LbfgsRestart(np.random.default_rng(config.seed + i).standard_normal(obj.input_len),
+                              config)
                 for i in range(config.restarts)]
     # lock-step: one stacked evaluation per round for every restart still running
     active = restarts

@@ -232,20 +232,20 @@ def partial_transpose(rho: DensityMatrix, party_set) -> np.ndarray:
 
 
 def _schmidt_matrix(psi: PureState, bipartition):
-    """The amplitudes as a (K, complement) matrix, with the complement's parties."""
+    """The amplitudes as a (K, complement) matrix; the complement must be non-empty."""
     left = _check_parties(psi.dims, bipartition)
     right = tuple(i for i in range(len(psi.dims)) if i not in left)
+    if not right:
+        raise StateError("bipartition must leave a non-empty complement")
     reordered = permute_parties_vector(psi.amplitudes, psi.dims, left + right)
     d_left = total_dim([psi.dims[i] for i in left])
     d_right = total_dim([psi.dims[i] for i in right])
-    return reordered.reshape(d_left, d_right), right
+    return reordered.reshape(d_left, d_right)
 
 
 def schmidt_decompose(psi: PureState, bipartition) -> SchmidtDecomposition:
     """Schmidt decomposition of a pure state across the bipartition (K | complement)."""
-    mat, right = _schmidt_matrix(psi, bipartition)
-    if not right:
-        raise StateError("bipartition must leave a non-empty complement")
+    mat = _schmidt_matrix(psi, bipartition)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
     r = max(1, int(np.count_nonzero(s > RANK_CUTOFF)))
     return SchmidtDecomposition(s[:r].copy(), u[:, :r].copy(), vh[:r, :].T.copy())
@@ -253,7 +253,7 @@ def schmidt_decompose(psi: PureState, bipartition) -> SchmidtDecomposition:
 
 def schmidt_spectrum(psi: PureState, bipartition) -> np.ndarray:
     """Eigenvalues (squared Schmidt coefficients) in non-increasing order, full length."""
-    mat, _ = _schmidt_matrix(psi, bipartition)
+    mat = _schmidt_matrix(psi, bipartition)
     s = np.linalg.svd(mat, compute_uv=False)
     lam = np.zeros(min(mat.shape))
     lam[: s.size] = s**2

@@ -216,8 +216,6 @@ def kgme_pure_multipartite(
     psi: PureState, k: int, config: OptimizerConfig | None = None
 ) -> GmeEstimate:
     """Upper bound on the k-bounded tensor-rank geometric measure of a pure state."""
-    if k < 2:
-        raise StateError("k must be >= 2")
     est = minimize(make_pure_overlap(psi, k), config)
     return _as_gme(est, 1.0)
 
@@ -226,8 +224,6 @@ def kgme_subspace(
     subspace: Subspace, k: int, config: OptimizerConfig | None = None
 ) -> GmeEstimate:
     """Upper bound on the minimal k-bounded measure over a bipartite subspace."""
-    if k < 2:
-        raise StateError("k must be >= 2")
     est = minimize(make_subspace_bounded_rank(subspace, k), config)
     return _as_gme(est, 0.0)
 
@@ -254,8 +250,6 @@ def kgme_mixed(
     """Convex-roof upper bound on the k-bounded Schmidt-number measure."""
     if len(rho.dims) != 2:
         raise StateError("kgme_mixed needs a bipartite layout")
-    if k < 2:
-        raise StateError("k must be >= 2")
     n_entries = default_n_entries(rho) if n_entries is None else int(n_entries)
     inner = BoundedRankAnsatz(rho.dims, k)
     est = minimize(make_mixed_roof(rho, inner, n_entries), config)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gme import sdp
-from gme.cli import main
+from gme.cli import _parse_partition, main
 from gme.serialize import save_state
 from gme.states import PureState
 from gme.zoo import bell_state, dicke_mixture_gme
@@ -310,6 +310,15 @@ def test_malformed_partition_exits_2(capsys, partition):
         "--k", "2", "--restarts", "1", "--ansatz-terms", "8", "--max-iterations", "5",
     )
     assert code == 2 and out == "" and err.startswith("gme:")
+
+
+@pytest.mark.parametrize("partition, left", [
+    ("0,1,2,3,4,5,6,7,8,9|10", tuple(range(10))),
+    ("10|0,1,2,3,4,5,6,7,8,9", (10,)),
+])
+def test_partition_with_commas_names_multi_digit_parties(partition, left):
+    """A partition with a comma lists comma-separated indices, so party 10 of 11 can be named."""
+    assert _parse_partition(partition, 11) == left
 
 
 FIVE_KEYS = {"value", "k", "method", "converged", "seed"}

@@ -58,20 +58,9 @@ def test_value_is_min_of_restarts(rng):
     assert est.iterations_used > 0
 
 
-def test_momentum_method():
-    cfg = OptimizerConfig(
-        method="momentum", restarts=1, max_iterations=4000,
-        gradient_tolerance=1e-9,
-    )
-    est = minimize(make_quadratic([1.0, -1.0]), cfg)
-    assert abs(est.value) < 1e-8
-
-
 def test_config_validation():
     with pytest.raises(StateError):
         OptimizerConfig(restarts=0)
-    with pytest.raises(StateError):
-        OptimizerConfig(method="adam")
     # no iterations would report an infinite value; a NaN tolerance would never stop a run
     for bad in ({"max_iterations": 0}, {"max_iterations": -3}, {"gradient_tolerance": -1.0},
                 {"gradient_tolerance": float("nan")}, {"gradient_tolerance": float("inf")}):
@@ -159,14 +148,6 @@ def test_restart_rows_are_independent_lbfgs(name):
     """Tolerance 0: a row's evaluations do not depend on the rows beside it."""
     obj, config = _lockstep_problems()[name]
     _assert_rows_independent(obj, config.with_(restarts=3))
-
-
-def test_restart_rows_are_independent_momentum():
-    """Tolerance 0, with rows that stop at different steps."""
-    config = OptimizerConfig(method="momentum", restarts=3, max_iterations=2000,
-                             gradient_tolerance=1e-9, seed=11)
-    est = _assert_rows_independent(make_quadratic([1.0, -2.0, 0.5]), config)
-    assert len(set(est.per_restart_iterations.tolist())) > 1
 
 
 def test_per_restart_iterations_sum_to_total():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from gme.pure import entanglement_entropy, k_gme_pure
 from gme.states import (
     DensityMatrix,
     PureState,
@@ -141,6 +142,17 @@ def test_schmidt_reconstruction_random_layouts(rng):
         assert np.linalg.norm(rebuilt - reference) < 1e-10
         b = sd.right_basis
         np.testing.assert_allclose(b.conj().T @ b, np.eye(sd.rank), atol=1e-10)
+
+
+@pytest.mark.parametrize("measure", [schmidt_decompose, schmidt_spectrum,
+                                     lambda psi, parts: k_gme_pure(psi, parts, 2),
+                                     entanglement_entropy],
+                         ids=["schmidt_decompose", "schmidt_spectrum", "k_gme_pure",
+                              "entanglement_entropy"])
+def test_bipartition_of_every_party_refused(measure):
+    """A "bipartition" that names every party has no complement to cut against."""
+    with pytest.raises(StateError, match="non-empty complement"):
+        measure(bell_state(), (0, 1))
 
 
 def test_schmidt_zero_vector_rejected():

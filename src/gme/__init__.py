@@ -27,6 +27,7 @@ from .sdp import (
     Witness,
     evaluate_witness,
     fidelity_root_sdp,
+    lower_bound,
     lower_bound_mixed,
     lower_bound_subspace_ppt,
     lower_bound_subspace_reduction,

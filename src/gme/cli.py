@@ -139,12 +139,10 @@ def cmd_subspace(args):
     if not isinstance(sub, Subspace):
         raise CliError("subcommand 'subspace' needs a subspace", EXIT_USAGE)
     cfg = _optimizer_config(args)
-    if len(sub.dims) == 2:
-        est = variational.kgme_subspace(sub, args.k, cfg)
-    else:
-        if args.k != 2:
-            raise CliError("multipartite subspaces support k = 2 only", EXIT_USAGE)
+    if len(sub.dims) > 2 and args.k == 2:
         est = variational.gme_subspace_multipartite(sub, cfg)
+    else:
+        est = variational.kgme_subspace(sub, args.k, cfg)
     _emit_estimate(est, args)
 
 
@@ -157,12 +155,10 @@ def cmd_mixed(args):
         left = _parse_partition(args.partition, len(rho.dims))
         rho = _merge_bipartition(rho, left)
     n_entries = _ansatz_terms(args, rho)
-    if len(rho.dims) == 2:
-        est = variational.kgme_mixed(rho, args.k, n_entries, cfg)
-    else:
-        if args.k != 2:
-            raise CliError("multipartite mixed states support k = 2 only", EXIT_USAGE)
+    if len(rho.dims) > 2 and args.k == 2:
         est = variational.gme_mixed_multipartite(rho, n_entries, cfg)
+    else:
+        est = variational.kgme_mixed(rho, args.k, n_entries, cfg)
     _emit_estimate(est, args)
 
 
@@ -170,18 +166,10 @@ def cmd_bound(args):
     if (args.state is None) == (args.subspace is None):
         raise CliError("bound needs exactly one of --state and --subspace", EXIT_USAGE)
     obj = _load_any(args.state if args.state is not None else args.subspace)
-    relaxation = sdp.resolve_relaxation(args.k, args.relaxation)
-    if isinstance(obj, Subspace):
-        # a multipartite subspace has only the PPT bound, which is k = 2;
-        # the reduction bound refuses it as non-bipartite
-        if relaxation == "ppt":
-            value, sol = sdp.lower_bound_subspace_ppt(obj, full_output=True)
-        else:
-            value, sol = sdp.lower_bound_subspace_reduction(obj, args.k, full_output=True)
-    elif isinstance(obj, DensityMatrix):
-        value, sol = sdp.lower_bound_mixed(obj, args.k, relaxation=relaxation, full_output=True)
-    else:
+    if not isinstance(obj, (Subspace, DensityMatrix)):
         raise CliError("subcommand 'bound' needs a mixed state or subspace", EXIT_USAGE)
+    relaxation = sdp.resolve_relaxation(args.k, args.relaxation)
+    value, sol = sdp.lower_bound(obj, args.k, relaxation, full_output=True)
     if not np.isfinite(value):
         raise CliError("solver failed to produce a finite bound", EXIT_NUMERIC)
     _emit_result(value, args.k, f"sdp-{relaxation}", sol.status == "optimal", args.seed,

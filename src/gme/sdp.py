@@ -413,23 +413,28 @@ def reduction_min_eig(rho: DensityMatrix, party_set=(1,), k: int = 1) -> float:
 # relaxation builders
 
 
-def _transpose_links(dims, parties, start=0) -> Links:
+def _transpose_links(dims, k, start=0) -> Links:
     """Blocks 1..n held at the partial transposes T_j of the sub-block at `start` of block 0.
 
-    A partial transpose permutes matrix entries, so T_j* T_j = I and
-    (I + sum_j T_j* T_j)^-1 = 1 / (1 + n).
+    Two parties use the transpose of party 0; more parties use every
+    single-party transpose.  A partial transpose permutes matrix entries, so
+    T_j* T_j = I and (I + sum_j T_j* T_j)^-1 = 1 / (1 + n).
     """
+    parties = [(0,)] if len(dims) == 2 else [(i,) for i in range(len(dims))]
     maps = [lambda x, p=p: _partial_transpose_arr(x, dims, p) for p in parties]
     images = tuple((1 + j, pt, pt) for j, pt in enumerate(maps))
     return Links(0, start, total_dim(dims), images, lambda x: x / (1.0 + len(maps)))
 
 
-def _reduction_links(dims, p, start=0) -> Links:
-    """Block 1 held at R(S) = Tr_B S (x) I - p S, for the sub-block S at `start` of block 0.
+def _reduction_links(dims, k, start=0) -> Links:
+    """Block 1 held at R(S) = Tr_B S (x) I - p S, p = 1/(k-1), for the sub-block S at `start` of block 0.
 
     R = d_B Pi - p I with the orthogonal projector Pi(X) = Tr_B X (x) I / d_B,
     so (I + R* R)^-1 = (I - Pi) / (1 + p^2) + Pi / (1 + (d_B - p)^2).
     """
+    if len(dims) != 2:
+        raise StateError("the reduction relaxation needs a bipartite layout")
+    p = 1.0 / (k - 1.0)
     d_b = dims[1]
 
     def reduce(x):
@@ -440,6 +445,15 @@ def _reduction_links(dims, p, start=0) -> Links:
         return (x - pi_x) / (1.0 + p * p) + pi_x / (1.0 + (d_b - p) ** 2)
 
     return Links(0, start, total_dim(dims), ((1, reduce, reduce),), inverse)
+
+
+# Relaxations of the Schmidt-number-(k-1) set: name -> (largest k it bounds,
+# Links builder for (dims, k, start)).  Once k >= 3 the PPT set misses states
+# of Schmidt number k-1 (a Bell state), so it bounds only k = 2.
+RELAXATIONS = {
+    "ppt": (2, _transpose_links),
+    "reduction": (math.inf, _reduction_links),
+}
 
 
 def _support(mat, cutoff=1e-12):
@@ -474,96 +488,76 @@ def fidelity_root_sdp(
     return (value, sol) if full_output else value
 
 
-def _subspace_bound(subspace: Subspace, links: Links, tolerance) -> SdpSolution:
-    """min Tr[P_perp rho] over trace-one PSD rho with linked PSD images."""
-    d = total_dim(subspace.dims)
-    n = len(links.images)
-    objective = [subspace.complement.matrix] + [None] * n
-    prob = SdpProblem(objective, [d] * (1 + n), [({0: np.eye(d)}, 1.0)], sense="min", links=links)
-    return solve_sdp(prob, tolerance=tolerance)
-
-
-def lower_bound_subspace_ppt(subspace: Subspace, tolerance=1e-7, full_output=False):
-    """Certified lower bound on the subspace measure from the PPT relaxation.
-
-    Bipartite layouts use one partial transpose; multipartite layouts impose
-    positivity of every single-party transpose.
-    """
-    dims = subspace.dims
-    n = len(dims)
-    parties = [(0,)] if n == 2 else [(i,) for i in range(n)]
-    sol = _subspace_bound(subspace, _transpose_links(dims, parties), tolerance)
-    return (float(sol.dual_value), sol) if full_output else float(sol.dual_value)
-
-
-def lower_bound_subspace_reduction(subspace: Subspace, k: int, tolerance=1e-7, full_output=False):
-    """Certified lower bound on the k-bounded subspace measure via the reduction cone."""
-    if k < 2:
-        raise StateError("k must be >= 2")
-    dims = subspace.dims
-    if len(dims) != 2:
-        raise StateError("reduction relaxation needs a bipartite layout")
-    sol = _subspace_bound(subspace, _reduction_links(dims, 1.0 / (k - 1.0)), tolerance)
-    return (float(sol.dual_value), sol) if full_output else float(sol.dual_value)
-
-
 def resolve_relaxation(k: int, relaxation: str = "auto") -> str:
-    """The relaxation of the Schmidt-number-(k-1) set a k-bounded bound uses.
-
-    'auto' gives 'ppt' for k = 2 and 'reduction' otherwise.  'ppt' is refused
-    for k >= 3: the PPT set misses states of Schmidt number <= k-1 (such as a
-    Bell state), so its optimum is no lower bound.
-    """
+    """The row of ``RELAXATIONS`` a k-bounded bound uses; 'auto' is the first that bounds k."""
     if k < 2:
         raise StateError("k must be >= 2")
     if relaxation == "auto":
-        return "ppt" if k == 2 else "reduction"
-    if relaxation not in ("ppt", "reduction"):
+        return next(name for name, (k_max, _) in RELAXATIONS.items() if k <= k_max)
+    if relaxation not in RELAXATIONS:
         raise StateError(f"unknown relaxation {relaxation!r}")
-    if relaxation == "ppt" and k > 2:
-        raise StateError("the PPT relaxation bounds only k = 2; use the reduction relaxation")
+    if k > RELAXATIONS[relaxation][0]:
+        raise StateError(f"the {relaxation} relaxation bounds only k <= {RELAXATIONS[relaxation][0]}")
     return relaxation
+
+
+def lower_bound(obj, k: int, relaxation: str = "auto", tolerance=1e-7, full_output=False):
+    """Certified lower bound on the k-bounded measure of a subspace or a bipartite mixed state.
+
+    Over the relaxed Schmidt-number-(k-1) set (see ``RELAXATIONS``) it
+    minimizes Tr[P_perp sigma] for a subspace, and for a mixed state it
+    maximizes the square-root fidelity and returns 1 - (max sqrt F)^2.
+    Values below ``NONCERTIFYING`` do not certify entanglement.
+    """
+    name = resolve_relaxation(k, relaxation)
+    r, fixed = 0, ()
+    if isinstance(obj, Subspace):
+        # block 0 is sigma
+        objective, sense, finish = obj.complement.matrix, "min", lambda v: v
+    elif not isinstance(obj, DensityMatrix):
+        raise StateError("lower bounds need a subspace or a density matrix")
+    elif len(obj.dims) != 2:
+        raise StateError("mixed-state bounds need a bipartite layout")
+    elif np.linalg.eigvalsh(obj.matrix)[-1] >= 1.0 - 1e-12:
+        # the fidelity is linear, F = <psi|sigma|psi>: block 0 is sigma
+        objective, sense, finish = obj.matrix, "max", lambda v: 1.0 - v
+    else:
+        # block 0: rho compressed to its support (fixed, top left) and sigma
+        # (bottom right) in the fidelity block matrix
+        u_r, rho_c = _support(obj.matrix)
+        r, fixed = rho_c.shape[0], ((0, 0, rho_c),)
+        objective = np.zeros((r + obj.dim, r + obj.dim), dtype=complex)
+        objective[:r, r:] = 0.5 * u_r.conj().T
+        objective[r:, :r] = 0.5 * u_r
+        sense, finish = "max", lambda v: 1.0 - v * v
+    links = RELAXATIONS[name][1](obj.dims, k, start=r)
+    m, n = links.side, len(links.images)
+    trace_sigma = np.zeros((r + m, r + m))
+    trace_sigma[r:, r:] = np.eye(m)
+    prob = SdpProblem(
+        [objective] + [None] * n, [r + m] + [m] * n, [({0: trace_sigma}, 1.0)],
+        sense=sense, fixed=fixed, links=links,
+    )
+    sol = solve_sdp(prob, tolerance=tolerance)
+    value = finish(float(sol.dual_value))
+    return (value, sol) if full_output else value
+
+
+def lower_bound_subspace_ppt(subspace: Subspace, tolerance=1e-7, full_output=False):
+    """``lower_bound`` of a subspace at k = 2 under the PPT relaxation."""
+    return lower_bound(subspace, 2, "ppt", tolerance, full_output)
+
+
+def lower_bound_subspace_reduction(subspace: Subspace, k: int, tolerance=1e-7, full_output=False):
+    """``lower_bound`` of a bipartite subspace under the reduction relaxation."""
+    return lower_bound(subspace, k, "reduction", tolerance, full_output)
 
 
 def lower_bound_mixed(
     rho: DensityMatrix, k: int, relaxation: str = "auto", tolerance=1e-7, full_output=False
 ):
-    """Certified lower bound on the k-bounded mixed-state measure.
-
-    Maximizes the square-root fidelity over the relaxed Schmidt-number-(k-1)
-    set (see ``resolve_relaxation``) and returns 1 - (max sqrt F)^2.  Values
-    below 1e-6 do not certify entanglement.
-    """
-    if len(rho.dims) != 2:
-        raise StateError("lower_bound_mixed needs a bipartite layout")
-    relaxation = resolve_relaxation(k, relaxation)
-    m = rho.dim
-    rank_one = np.linalg.eigvalsh(rho.matrix)[-1] >= 1.0 - 1e-12
-    if rank_one:
-        # the fidelity is linear, F = <psi|sigma|psi>: block 0 is sigma
-        r, objective, fixed = 0, rho.matrix, ()
-    else:
-        # block 0: rho compressed to its support (fixed, top left) and sigma
-        # (bottom right) in the fidelity block matrix
-        u_r, rho_c = _support(rho.matrix)
-        r = rho_c.shape[0]
-        objective = np.zeros((r + m, r + m), dtype=complex)
-        objective[:r, r:] = 0.5 * u_r.conj().T
-        objective[r:, :r] = 0.5 * u_r
-        fixed = ((0, 0, rho_c),)
-    if relaxation == "ppt":
-        links = _transpose_links(rho.dims, [(0,)], start=r)
-    else:
-        links = _reduction_links(rho.dims, 1.0 / (k - 1.0), start=r)
-    trace_sigma = np.zeros((r + m, r + m))
-    trace_sigma[r:, r:] = np.eye(m)
-    prob = SdpProblem(
-        [objective, None], [r + m, m], [({0: trace_sigma}, 1.0)], sense="max", fixed=fixed, links=links
-    )
-    sol = solve_sdp(prob, tolerance=tolerance)
-    root = float(sol.dual_value)
-    value = 1.0 - root if rank_one else 1.0 - root * root
-    return (value, sol) if full_output else value
+    """``lower_bound`` of a bipartite mixed state."""
+    return lower_bound(rho, k, relaxation, tolerance, full_output)
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .trivializations import (
 )
 
 EIG_CUTOFF = 1e-10       # eigenvalues of a density matrix below this are dropped
-ZERO_THRESHOLD = 1e-8    # reported-transition threshold separating optimizer floor from signal
 
 
 @dataclass(frozen=True)
@@ -111,8 +110,6 @@ def make_pure_overlap(psi: PureState, k: int) -> Objective:
 
 def make_subspace_bounded_rank(subspace: Subspace, k: int) -> Objective:
     """Rayleigh quotient of the complement projector over rank-(k-1) states."""
-    if len(subspace.dims) != 2:
-        raise StateError("bounded-rank subspace objective needs a bipartite layout")
     ansatz = BoundedRankAnsatz(subspace.dims, k)
     proj = subspace.complement.matrix
 
@@ -223,7 +220,7 @@ def kgme_pure_multipartite(
 def kgme_subspace(
     subspace: Subspace, k: int, config: OptimizerConfig | None = None
 ) -> GmeEstimate:
-    """Upper bound on the minimal k-bounded measure over a bipartite subspace."""
+    """Upper bound on the minimal k-bounded (tensor-rank) measure over a subspace."""
     est = minimize(make_subspace_bounded_rank(subspace, k), config)
     return _as_gme(est, 0.0)
 
@@ -247,9 +244,7 @@ def kgme_mixed(
     n_entries: int | None = None,
     config: OptimizerConfig | None = None,
 ) -> GmeEstimate:
-    """Convex-roof upper bound on the k-bounded Schmidt-number measure."""
-    if len(rho.dims) != 2:
-        raise StateError("kgme_mixed needs a bipartite layout")
+    """Convex-roof upper bound on the k-bounded (tensor-rank) measure."""
     n_entries = default_n_entries(rho) if n_entries is None else int(n_entries)
     inner = BoundedRankAnsatz(rho.dims, k)
     est = minimize(make_mixed_roof(rho, inner, n_entries), config)

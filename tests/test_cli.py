@@ -228,6 +228,18 @@ def test_mixed_partition(capsys):
     assert _record(out)["value"] < 1e-6
 
 
+@pytest.mark.parametrize("argv", [
+    ("subspace", "--subspace", "shifts_complement", "--k", "3"),
+    ("mixed", "--state", "upb_shifts_state", "--k", "3", "--ansatz-terms", "10"),
+], ids=["subspace", "mixed"])
+def test_multipartite_k_3_prints_a_record(capsys, argv):
+    """Three-party inputs at k = 3 have tensor rank <= 2 closest states, and both are 0 there."""
+    code, out, _ = run_cli(capsys, *argv, "--restarts", "2", "--max-iterations", "300")
+    assert code == 0
+    rec = _record(out)
+    assert rec["k"] == 3 and rec["method"] == "variational" and rec["value"] < 1e-8
+
+
 def test_determinism_byte_identical(capsys):
     _, out1, _ = run_cli(capsys, "pure", "--state", "w", "--k", "2", "--restarts", "2", "--seed", "5")
     _, out2, _ = run_cli(capsys, "pure", "--state", "w", "--k", "2", "--restarts", "2", "--seed", "5")

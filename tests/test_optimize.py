@@ -1,4 +1,4 @@
-"""Multi-restart minimization: accuracy, determinism, both methods."""
+"""Multi-restart L-BFGS-B minimization: accuracy, determinism, independent restart rows."""
 
 import json
 import os
@@ -140,7 +140,6 @@ def _assert_rows_independent(obj, config):
     np.testing.assert_array_equal(est.per_restart_values, [a.value for a in alone])
     np.testing.assert_array_equal(est.per_restart_iterations, [a.iterations_used for a in alone])
     np.testing.assert_array_equal(est.best_params, alone[int(np.argmin(est.per_restart_values))].best_params)
-    return est
 
 
 @pytest.mark.parametrize("name", ["roof_bipartite", "pure_overlap"])

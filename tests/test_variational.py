@@ -9,6 +9,7 @@ from gme.states import DensityMatrix, PureState, StateError, Subspace
 from gme.variational import (
     default_n_entries,
     gme_mixed_multipartite,
+    gme_subspace_multipartite,
     kgme_mixed,
     kgme_pure_multipartite,
     kgme_subspace,
@@ -19,12 +20,15 @@ from gme.variational import (
 )
 from gme.trivializations import BoundedRankAnsatz, RoofAnsatz, Stiefel, polar
 from gme.zoo import (
+    dicke_state,
     ghz_state,
     isotropic_kgme,
     isotropic_state,
+    shifts_complement_subspace,
     tiles_complement_subspace,
     two_by_d_theta_gme,
     two_by_d_theta_subspace,
+    upb_shifts_state,
     upb_tiles_state,
     w_state,
 )
@@ -170,6 +174,34 @@ def test_multipartite_mixed_separable(rng):
     joint = DensityMatrix(np.kron(a.matrix, b.matrix), (2, 2))
     est = gme_mixed_multipartite(joint, n_entries=6, config=FAST.with_(restarts=2))
     assert est.value < 1e-8
+
+
+# n-party k-bounded measures: tensor rank below k, as for pure states
+MULTI = OptimizerConfig(restarts=3, max_iterations=400)
+MULTI_STATES = {"ghz": ghz_state, "w": w_state, "dicke42": lambda: dicke_state(4, 2)}
+
+
+@pytest.mark.parametrize("name, k", [("ghz", 2), ("ghz", 3), ("dicke42", 2), ("dicke42", 3), ("dicke42", 4)])
+def test_multipartite_one_state_subspace_matches_pure_measure(name, k):
+    psi = MULTI_STATES[name]()
+    sub = kgme_subspace(Subspace.from_states([psi]), k, MULTI).value
+    assert abs(sub - kgme_pure_multipartite(psi, k, MULTI).value) < 1e-10
+
+
+def test_multipartite_border_rank_transitions():
+    """W has border rank 2, so k = 3 tends to 0; D(4,2) keeps 0.25 at k = 3 (border rank 3)."""
+    w = w_state()
+    assert kgme_subspace(Subspace.from_states([w]), 3, MULTI).value <= 1e-8
+    assert kgme_pure_multipartite(w, 3, MULTI).value <= 1e-8
+    assert kgme_subspace(Subspace.from_states([dicke_state(4, 2)]), 3, MULTI).value > 0.2
+
+
+def test_multipartite_bounded_rank_at_k_2_is_the_product_measure():
+    shifts = shifts_complement_subspace()
+    assert abs(kgme_subspace(shifts, 2, MULTI).value - gme_subspace_multipartite(shifts, MULTI).value) < 1e-6
+    rho, cfg = upb_shifts_state(), MULTI.with_(max_iterations=300)
+    roof = kgme_mixed(rho, 2, n_entries=10, config=cfg).value
+    assert abs(roof - gme_mixed_multipartite(rho, n_entries=10, config=cfg).value) < 1e-6
 
 
 def test_range_lower_bound_cases(rng):

@@ -33,35 +33,35 @@ import numpy as np
 from .states import StateError, check_seed
 
 
-def _load_lbfgsb():
-    """SciPy's compiled L-BFGS-B module, loaded from its extension file.
+def scipy_extension(subpackage, module):
+    """One of SciPy's compiled modules, ``scipy.<subpackage>.<module>``, loaded from its file.
 
-    Importing ``scipy.optimize._lbfgsb`` by name would first run the whole
-    ``scipy.optimize`` package (linprog, HiGHS, trust-region code, ...); this
+    Importing it by name would first run the whole ``scipy.<subpackage>``
+    package (for ``optimize``: linprog, HiGHS, trust-region code, ...); this
     loads the one extension file instead.  A module already loaded is reused.
     """
-    name = "scipy.optimize._lbfgsb"
+    name = f"scipy.{subpackage}.{module}"
     if name in sys.modules:
         return sys.modules[name]
     spec = importlib.util.find_spec("scipy")
     for directory in spec.submodule_search_locations if spec else ():
         for suffix in EXTENSION_SUFFIXES:
-            path = os.path.join(directory, "optimize", "_lbfgsb" + suffix)
+            path = os.path.join(directory, subpackage, module + suffix)
             if os.path.isfile(path):
                 loader = ExtensionFileLoader(name, path)
-                module = importlib.util.module_from_spec(
+                loaded = importlib.util.module_from_spec(
                     importlib.util.spec_from_file_location(name, path, loader=loader))
-                loader.exec_module(module)
+                loader.exec_module(loaded)
                 # a single-phase extension registers itself in sys.modules; take it out,
-                # so that a later `import scipy.optimize` loads and binds its own copy
-                if sys.modules.get(name) is module:
+                # so that a later `import scipy.<subpackage>` loads and binds its own copy
+                if sys.modules.get(name) is loaded:
                     del sys.modules[name]
-                return module
-    raise ImportError("gme needs SciPy >= 1.15: no compiled L-BFGS-B module "
-                      "scipy/optimize/_lbfgsb was found")
+                return loaded
+    raise ImportError(f"gme needs SciPy >= 1.17: its compiled module "
+                      f"scipy/{subpackage}/{module} was not found")
 
 
-_lbfgsb = _load_lbfgsb()
+_lbfgsb = scipy_extension("optimize", "_lbfgsb")
 
 # setulb's options, as scipy.optimize.minimize passes them to L-BFGS-B
 # for ftol=1e-18 and maxls=60; MEMORY (maxcor) and MAXFUN are scipy's defaults

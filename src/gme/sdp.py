@@ -21,8 +21,10 @@ on ``S``) and ``A x = b`` the scalar constraints, the affine projection is
 
     x = P_S v - P_S A^T G^-1 (A P_S v - b),    G = A P_S A^T,
 
-where the small Gram matrix ``G`` is factored once.  Memory grows with the
-number of block entries, and an iteration costs a few eigendecompositions.
+where the small Gram matrix ``G = L L^T`` is factored once, and each
+iteration applies ``G^-1 = L^-T L^-1`` as two products with ``L^-1``.
+Memory grows with the number of block entries, and an iteration costs a few
+eigendecompositions.
 
 The iterates are flat float64 vectors, and block b is a writable (n, n) view
 of its segment: n^2 floats for real data, or 2n^2 floats read as complex.  The
@@ -37,11 +39,11 @@ do.
 from __future__ import annotations
 
 import math
+import types
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import linalg as sla
 
 from .optimizers import OptimizerConfig
 from .states import (
@@ -239,6 +241,23 @@ def _structure_projection(problem: SdpProblem, vec: _BlockVec):
     return project
 
 
+def _cho_factor(gram):
+    """The inverse L^-1 of the Cholesky factor of gram = L L^T."""
+    return np.linalg.inv(np.linalg.cholesky(gram))
+
+
+def _cho_solve(inverse_factor, w):
+    """gram^-1 w = L^-T (L^-1 w), from the inverse factor of _cho_factor."""
+    return inverse_factor.T @ (inverse_factor @ w)
+
+
+# The Gram factorization keeps the names and the path, `sla.cho_factor` and
+# `sla.cho_solve`, that it had when it came from scipy.linalg: bench/tracing.py
+# times the factorization through that module global.  ROADMAP item 8, which
+# takes those figures from the solver's own records, frees the name.
+sla = types.SimpleNamespace(cho_factor=_cho_factor, cho_solve=_cho_solve)
+
+
 def _is_real(mat):
     return mat is None or np.linalg.norm(np.asarray(mat).imag) < 1e-12
 
@@ -281,13 +300,13 @@ def solve_sdp(
     if m:
         gram = pa_rows @ pa_rows.T
         gram[np.diag_indices(m)] += 1e-12
-        cho = sla.cho_factor(gram, check_finite=False)
+        inverse_factor = sla.cho_factor(gram)
 
     def proj_affine(v):
         """The affine projection of v and the Gram solve G^-1 (A P_S v - b)."""
         p = project(v)
         w = a_rows @ p - b_rhs
-        lam = sla.cho_solve(cho, w, check_finite=False) if m else w
+        lam = sla.cho_solve(inverse_factor, w) if m else w
         return p - pa_rows.T @ lam, lam
 
     def kkt(x, v, z, u, sigma):

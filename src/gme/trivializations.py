@@ -19,9 +19,12 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from .optimizers import scipy_extension
 from .states import StateError
+
+# scipy.special.expit itself, taken from its extension file without the scipy.special package
+expit = scipy_extension("special", "_special_ufuncs").expit
 
 POLAR_EPS = 1e-12  # regularization of the polar projection near rank deficiency
 
@@ -42,7 +45,7 @@ def softplus(t):
 
 
 def softplus_vjp(t, g):
-    return g * special.expit(t)
+    return g * expit(t)
 
 
 def complex_from_reals(theta):

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 from scipy import optimize as sopt
+from scipy import special
 
 import gme
 from gme.optimizers import MEMORY, OptimizerConfig, minimize
@@ -169,6 +170,7 @@ def _fresh_python(code, cwd):
 
 
 def test_cli_runs_without_scipy_optimize_or_integrate(tmp_path):
+    """No SciPy package is imported: only the two extension files gme loads itself."""
     code = """if True:
         import contextlib, io, json, sys
         import gme, gme.cli
@@ -180,8 +182,8 @@ def test_cli_runs_without_scipy_optimize_or_integrate(tmp_path):
     """
     out = _fresh_python(code, tmp_path)
     assert out["codes"] == [0, 0, 0]
-    loaded = [m for m in out["modules"] if m.split(".")[:2] in (["scipy", "optimize"], ["scipy", "integrate"])]
-    assert set(loaded) <= {"scipy.optimize._lbfgsb"}
+    loaded = {m for m in out["modules"] if m.split(".")[0] == "scipy"}
+    assert loaded <= {"scipy.optimize._lbfgsb", "scipy.special._special_ufuncs"}
 
 
 _ROSEN = """if True:
@@ -207,3 +209,30 @@ def test_lbfgsb_is_scipys_extension_module(tmp_path):
         print(json.dumps(gme.optimizers._lbfgsb is scipys))
     """, tmp_path)
     assert out is True
+
+
+def test_expit_is_scipys_ufunc(tmp_path):
+    """As for L-BFGS-B: in a fresh process scipy.special goes first, and gme takes its ufunc."""
+    x = np.array([-np.inf, -800.0, -37.5, -1e-300, 0.0, 0.3, 36.0, 800.0, np.inf, np.nan])
+    np.testing.assert_array_equal(gme.trivializations.expit(x), special.expit(x))
+    out = _fresh_python("""if True:
+        import json, scipy.special, gme.trivializations
+        print(json.dumps(gme.trivializations.expit is scipy.special.expit))
+    """, tmp_path)
+    assert out is True
+
+
+_EXPIT = """if True:
+    import hashlib, json
+    import numpy as np
+    {first}
+    from scipy.special import expit
+    x = np.concatenate([np.random.default_rng(0).standard_normal(10000) * 20, [-np.inf, 0.0, np.inf, np.nan]])
+    print(json.dumps(hashlib.sha256(expit(x).tobytes()).hexdigest()))
+"""
+
+
+def test_scipy_expit_unchanged_by_importing_gme(tmp_path):
+    alone = _fresh_python(_EXPIT.format(first=""), tmp_path)
+    after_gme = _fresh_python(_EXPIT.format(first="import gme"), tmp_path)
+    assert after_gme == alone

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 import gme
 
@@ -395,6 +396,22 @@ def test_block_values_exactly_hermitian(rng):
             assert sol.status == "optimal"
             for b in sol.block_values:
                 assert b.dtype == dtype and np.array_equal(b, b.conj().T)
+
+
+@pytest.mark.parametrize("m", [1, 2, 7])
+def test_gram_solve_matches_scipy_cho_solve(m):
+    """One scalar constraint, as in every built-in relaxation, gives scipy's bits exactly."""
+    rng = np.random.default_rng(m)
+    for _ in range(200):
+        a = rng.standard_normal((m, m + 3)) * 10.0 ** rng.uniform(-4, 4)
+        gram = a @ a.T
+        w = rng.standard_normal(m)
+        got = gme.sdp.sla.cho_solve(gme.sdp.sla.cho_factor(gram), w)
+        want = linalg.cho_solve(linalg.cho_factor(gram, check_finite=False), w, check_finite=False)
+        if m == 1:
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_isotropic_10_bound_in_child_process():

@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default=None)
     p.add_argument("--subspace", default=None)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--relaxation", choices=("auto", "ppt", "reduction"), default="auto")
+    p.add_argument("--relaxation", choices=("auto", *sdp.RELAXATIONS), default="auto")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bound)
 

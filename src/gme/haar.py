@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pure import distill_curve
+from .pure import _check_distill_target, distill_curve
 from .states import NORM_ATOL, StateError, _as_dims, check_seed
 from .zoo import haar_eg2_density_d4, haar_egd_density, haar_psucc_full_density
 
@@ -195,11 +195,7 @@ def tail_measures(lam: np.ndarray, k_values) -> dict[int, np.ndarray]:
 
 def distill_success(lam: np.ndarray, m: int) -> np.ndarray:
     """Optimal distillation probability of the m-dimensional target, per sample."""
-    d = lam.shape[-1]
-    if m < 1:
-        raise StateError(f"target dimension m={m} must be at least 1")
-    if m > d:
-        raise StateError(f"target dimension m={m} exceeds the local dimension {d}")
+    _check_distill_target(m, lam.shape[-1])
     return np.clip(distill_curve(lam, m).min(axis=-1), 0.0, 1.0)
 
 

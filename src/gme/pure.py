@@ -141,13 +141,20 @@ def vidal_probability(psi: PureState, phi: PureState, bipartition=(0,)) -> Trans
 def distill_probability(psi: PureState, m: int, bipartition=(0,)) -> TransformReport:
     """Optimal probability of distilling the m-dimensional maximally entangled state."""
     lam = schmidt_spectrum(psi, bipartition)
-    if m < 1 or m > lam.size:
-        raise StateError(f"target dimension m={m} exceeds the local dimension {lam.size}")
+    _check_distill_target(m, lam.size)
     curve = distill_curve(lam, m)
     curve[-1] = 1.0  # E^(1) = 1
     best = int(np.argmin(curve))
     p = float(min(1.0, curve[best]))
     return TransformReport(p >= 1.0 - 1e-10, p, best + 1)
+
+
+def _check_distill_target(m: int, d: int) -> None:
+    """Refuse a distillation target dimension m outside 1..d, the local dimension."""
+    if m < 1:
+        raise StateError(f"target dimension m={m} must be at least 1")
+    if m > d:
+        raise StateError(f"target dimension m={m} exceeds the local dimension {d}")
 
 
 def distill_curve(lam: np.ndarray, m: int) -> np.ndarray:

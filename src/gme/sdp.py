@@ -53,6 +53,7 @@ from .states import (
     Subspace,
     _partial_trace_arr,
     _partial_transpose_arr,
+    _support,
     permute_parties_matrix,
     total_dim,
 )
@@ -63,6 +64,8 @@ OVER_RELAXATION = 1.6
 GAP_TOL = 1e-6
 NONCERTIFYING = 1e-6   # bounds below this are reported verbatim but certify nothing
 INVERSE_RTOL = 1e-9    # build-time check of a closed-form link inverse
+MAX_ITERATIONS = 100_000
+CHECK_EVERY = 25       # iterations between KKT checks, history records and sigma updates
 
 
 @dataclass(frozen=True)
@@ -128,7 +131,8 @@ class SdpProblem:
 class SdpSolution:
     """Solver output.  ``dual_multipliers`` holds the multipliers y_i of the
     scalar ``constraints`` as stated, so that sign * (C - sum_i y_i F_i) is PSD
-    up to the terms of the links and fixed sub-blocks (sign = -1 for 'max')."""
+    up to the terms of the links and fixed sub-blocks (sign = -1 for 'max').
+    ``history`` holds the KKT record of every ``CHECK_EVERY``-th iteration."""
 
     primal_value: float
     dual_value: float
@@ -138,7 +142,7 @@ class SdpSolution:
     dual_residual: float
     iterations: int
     status: str
-    history: list | None = field(default=None, repr=False)
+    history: list = field(repr=False)
 
 
 def _check_hermitian(mat, side):
@@ -262,12 +266,7 @@ def _is_real(mat):
     return mat is None or np.linalg.norm(np.asarray(mat).imag) < 1e-12
 
 
-def solve_sdp(
-    problem: SdpProblem,
-    tolerance: float = 1e-7,
-    max_iterations: int = 100_000,
-    keep_history: bool = False,
-) -> SdpSolution:
+def solve_sdp(problem: SdpProblem, tolerance: float = 1e-7) -> SdpSolution:
     """Solve a block-PSD program by over-relaxed operator splitting.
 
     At ``optimal`` status the affine and KKT residuals are below ``tolerance``
@@ -335,7 +334,7 @@ def solve_sdp(
     if np.linalg.norm(a_rows @ x0 - b_rhs) > 1e-7 * (1.0 + np.linalg.norm(b_rhs)):
         return SdpSolution(
             math.nan, math.nan, vec.hermitian(x0), np.zeros(m), math.inf, math.inf, 0,
-            "infeasible_suspected", [] if keep_history else None,
+            "infeasible_suspected", [],
         )
 
     sigma = 1.0
@@ -343,12 +342,10 @@ def solve_sdp(
     z = np.zeros(vec.total)
     u = np.zeros(vec.total)
     x = x0
-    history = [] if keep_history else None
+    history = []
     status = "max_iterations"
-    it = 0
-    check_every = 25
 
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         v = z - u - c / sigma
         x, _ = proj_affine(v)
         x_relaxed = alpha * x + (1.0 - alpha) * z
@@ -357,10 +354,9 @@ def solve_sdp(
         shift = np.linalg.norm(z_new - z)
         z = z_new
 
-        if it % check_every == 0 or it == max_iterations:
+        if it % CHECK_EVERY == 0 or it == MAX_ITERATIONS:
             record, gap = kkt(x, v, z, u, sigma)
-            if history is not None:
-                history.append({"iteration": it, **record})
+            history.append({"iteration": it, **record})
             if record["primal_residual"] <= tolerance and record["dual_residual"] <= tolerance and gap <= GAP_TOL:
                 status = "optimal"
                 break
@@ -475,33 +471,32 @@ RELAXATIONS = {
 }
 
 
-def _support(mat, cutoff=1e-12):
-    vals, vecs = np.linalg.eigh(mat)
-    keep = vals > cutoff
-    return vecs[:, keep], np.diag(vals[keep]).astype(complex)
+def _fidelity_program(rho_vals, rho_vecs, basis):
+    """Cost and fixed top-left block of max Re Tr[Y] over [[rho_c, Y], [Y^dag, S]] >= 0.
+
+    rho_c is rho on its support ``rho_vecs`` and S is sigma in the orthonormal
+    columns of ``basis``: positivity confines Y there, and the compression
+    keeps the program strictly feasible for rank-deficient rho.
+    """
+    r, n = rho_vals.size, rho_vals.size + basis.shape[1]
+    m_ov = basis.conj().T @ rho_vecs
+    cost = np.zeros((n, n), dtype=complex)
+    cost[:r, r:] = 0.5 * m_ov.conj().T
+    cost[r:, :r] = 0.5 * m_ov
+    return cost, (0, 0, np.diag(rho_vals).astype(complex))
 
 
 def fidelity_root_sdp(
     rho: DensityMatrix, sigma: DensityMatrix, tolerance=1e-7, full_output=False
 ):
-    """Square-root fidelity via the two-by-two block-matrix program.
-
-    The program is compressed onto the supports of rho and sigma (positivity
-    of the block matrix confines the off-diagonal block there), which keeps
-    the problem strictly feasible for rank-deficient inputs.
-    """
+    """Square-root fidelity via ``_fidelity_program``, with S fixed at sigma on its support."""
     if rho.dim != sigma.dim:
         raise StateError("dimension mismatch")
-    u_r, rho_c = _support(rho.matrix)
-    u_s, sigma_c = _support(sigma.matrix)
-    r1, r2 = rho_c.shape[0], sigma_c.shape[0]
-    n = r1 + r2
-    # objective Re Tr[W' M] with M = U_sigma^dag U_rho recovers Tr[Y]
-    m_ov = u_s.conj().T @ u_r
-    a = np.zeros((n, n), dtype=complex)
-    a[:r1, r1:] = 0.5 * m_ov.conj().T
-    a[r1:, :r1] = 0.5 * m_ov
-    prob = SdpProblem([a], [n], [], sense="max", fixed=((0, 0, rho_c), (0, r1, sigma_c)))
+    rho_vals, rho_vecs = _support(rho.matrix)
+    sigma_vals, sigma_vecs = _support(sigma.matrix)
+    cost, rho_c = _fidelity_program(rho_vals, rho_vecs, sigma_vecs)
+    sigma_c = (0, rho_vals.size, np.diag(sigma_vals).astype(complex))
+    prob = SdpProblem([cost], [cost.shape[0]], [], sense="max", fixed=(rho_c, sigma_c))
     sol = solve_sdp(prob, tolerance=tolerance)
     value = float(min(max(sol.primal_value, 0.0), 1.0))
     return (value, sol) if full_output else value
@@ -521,12 +516,14 @@ def resolve_relaxation(k: int, relaxation: str = "auto") -> str:
 
 
 def lower_bound(obj, k: int, relaxation: str = "auto", tolerance=1e-7, full_output=False):
-    """Certified lower bound on the k-bounded measure of a subspace or a bipartite mixed state.
+    """Certified lower bound on the k-bounded measure of a subspace or a mixed state.
 
     Over the relaxed Schmidt-number-(k-1) set (see ``RELAXATIONS``) it
     minimizes Tr[P_perp sigma] for a subspace, and for a mixed state it
-    maximizes the square-root fidelity and returns 1 - (max sqrt F)^2.
-    Values below ``NONCERTIFYING`` do not certify entanglement.
+    maximizes the square-root fidelity and returns 1 - (max sqrt F)^2.  The
+    row's ``Links`` builder decides the layouts it takes: ``ppt`` takes n
+    parties, ``reduction`` two.  Values below ``NONCERTIFYING`` do not
+    certify entanglement.
     """
     name = resolve_relaxation(k, relaxation)
     r, fixed = 0, ()
@@ -535,20 +532,16 @@ def lower_bound(obj, k: int, relaxation: str = "auto", tolerance=1e-7, full_outp
         objective, sense, finish = obj.complement.matrix, "min", lambda v: v
     elif not isinstance(obj, DensityMatrix):
         raise StateError("lower bounds need a subspace or a density matrix")
-    elif len(obj.dims) != 2:
-        raise StateError("mixed-state bounds need a bipartite layout")
-    elif np.linalg.eigvalsh(obj.matrix)[-1] >= 1.0 - 1e-12:
-        # the fidelity is linear, F = <psi|sigma|psi>: block 0 is sigma
-        objective, sense, finish = obj.matrix, "max", lambda v: 1.0 - v
     else:
-        # block 0: rho compressed to its support (fixed, top left) and sigma
-        # (bottom right) in the fidelity block matrix
-        u_r, rho_c = _support(obj.matrix)
-        r, fixed = rho_c.shape[0], ((0, 0, rho_c),)
-        objective = np.zeros((r + obj.dim, r + obj.dim), dtype=complex)
-        objective[:r, r:] = 0.5 * u_r.conj().T
-        objective[r:, :r] = 0.5 * u_r
-        sense, finish = "max", lambda v: 1.0 - v * v
+        rho_vals, rho_vecs = _support(obj.matrix)
+        if rho_vals[-1] >= 1.0 - 1e-12:
+            # the fidelity is linear, F = <psi|sigma|psi>: block 0 is sigma
+            objective, sense, finish = obj.matrix, "max", lambda v: 1.0 - v
+        else:
+            # block 0 is the fidelity block matrix, with S = sigma linked
+            objective, rho_c = _fidelity_program(rho_vals, rho_vecs, np.eye(obj.dim))
+            r, fixed = rho_vals.size, (rho_c,)
+            sense, finish = "max", lambda v: 1.0 - v * v
     links = RELAXATIONS[name][1](obj.dims, k, start=r)
     m, n = links.side, len(links.images)
     trace_sigma = np.zeros((r + m, r + m))
@@ -575,7 +568,7 @@ def lower_bound_subspace_reduction(subspace: Subspace, k: int, tolerance=1e-7, f
 def lower_bound_mixed(
     rho: DensityMatrix, k: int, relaxation: str = "auto", tolerance=1e-7, full_output=False
 ):
-    """``lower_bound`` of a bipartite mixed state."""
+    """``lower_bound`` of a mixed state."""
     return lower_bound(rho, k, relaxation, tolerance, full_output)
 
 

@@ -16,6 +16,7 @@ import numpy as np
 NORM_ATOL = 1e-12        # norm / trace / hermiticity tolerance for valid states
 PSD_ATOL = 1e-10         # smallest admissible eigenvalue of a density matrix
 RANK_CUTOFF = 1e-12      # singular values / residual norms below this are zero
+EIG_CUTOFF = 1e-10       # eigenvalues of a density matrix below this are dropped
 
 
 class StateError(ValueError):
@@ -311,6 +312,13 @@ def _clipped_sqrt_eigs(vals):
 def _psd_sqrt(mat):
     vals, vecs = np.linalg.eigh(mat)
     return (vecs * _clipped_sqrt_eigs(vals)) @ vecs.conj().T
+
+
+def _support(mat):
+    """Eigenvalues of a PSD matrix above ``EIG_CUTOFF``, ascending, and their eigenvectors as columns."""
+    vals, vecs = np.linalg.eigh(mat)
+    keep = vals > EIG_CUTOFF
+    return vals[keep], vecs[:, keep]
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -17,6 +17,7 @@ from .states import (
     PureState,
     StateError,
     Subspace,
+    _support,
     check_seed,
     total_dim,
 )
@@ -30,8 +31,6 @@ from .trivializations import (
     polar_vjp,
     reals_from_cograd,
 )
-
-EIG_CUTOFF = 1e-10       # eigenvalues of a density matrix below this are dropped
 
 
 @dataclass(frozen=True)
@@ -136,15 +135,8 @@ def make_subspace_product(subspace: Subspace) -> Objective:
     return Objective("subspace_product", fun_grad, ansatz)
 
 
-def _support(rho: DensityMatrix):
-    """Eigenvalues of rho above ``EIG_CUTOFF``, ascending, and their eigenvectors as columns."""
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    keep = vals > EIG_CUTOFF
-    return vals[keep], vecs[:, keep]
-
-
 def _rho_eigendata(rho: DensityMatrix):
-    vals, vecs = _support(rho)
+    vals, vecs = _support(rho.matrix)
     lam_tilde = vecs * np.sqrt(vals)
     return lam_tilde, int(vals.size)
 
@@ -265,7 +257,7 @@ def gme_mixed_multipartite(
 
 def range_subspace(rho: DensityMatrix) -> Subspace:
     """The span of the eigenvectors of rho with eigenvalue above the cutoff."""
-    _, vecs = _support(rho)
+    _, vecs = _support(rho.matrix)
     return Subspace.from_states(PureState(v, rho.dims) for v in vecs.T)
 
 

@@ -626,6 +626,8 @@ def haar_egd_cdf(d: int, x) -> np.ndarray | float:
 
 def haar_psucc_full_density(d: int, x) -> np.ndarray | float:
     """Density of the success probability for distilling the full d-dimensional target."""
+    if d < 2:
+        raise StateError("need d >= 2")
     x = np.asarray(x, dtype=float)
     inside = (x >= 0.0) & (x <= 1.0)
     out = np.where(inside, (d * d - 1.0) * np.clip(1.0 - x, 0.0, 1.0) ** (d * d - 2), 0.0)

@@ -109,9 +109,23 @@ def test_bound_refuses_requests_it_cannot_certify(capsys):
         ("--subspace", "bhat:d1=2,d2=2,d3=2", "--k", "2", "--relaxation", "reduction"),
         ("--subspace", "johnston_4x4", "--k", "3", "--relaxation", "ppt"),
         ("--state", "isotropic:d=3,F=0.7", "--k", "3", "--relaxation", "ppt"),
+        ("--state", "dicke_mixture:n=4,k1=1,k2=2,r=0.3", "--k", "3"),
     ):
         code, out, _ = run_cli(capsys, "bound", *args)
         assert code == 2 and not out
+
+
+def test_bound_certifies_a_multipartite_mixed_state(capsys):
+    state = "dicke_mixture:n=4,k1=1,k2=2,r=0.3"
+    code, out, _ = run_cli(capsys, "bound", "--state", state, "--k", "2")
+    rec = _record(out)
+    assert code == 0 and rec["certifying"] is True and rec["method"] == "sdp-ppt"
+    assert abs(rec["value"] - dicke_mixture_gme(4, 1, 2, 0.3)) < 1e-5
+
+
+def test_transform_refuses_a_distill_target_below_one(capsys):
+    code, out, err = run_cli(capsys, "transform", "--from", "bell", "--distill", "0")
+    assert code == 2 and out == "" and "m=0 must be at least 1" in err
 
 
 def test_bound_names_the_relaxation_used(capsys):

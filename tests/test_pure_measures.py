@@ -209,6 +209,12 @@ def test_distill_examples(rng):
         distill_probability(psi, 3)
 
 
+def test_distill_target_below_one_named_as_such():
+    """The message of ``haar.distill_success``, which shares the rule."""
+    with pytest.raises(StateError, match="m=0 must be at least 1"):
+        distill_probability(bell_state(), 0)
+
+
 def test_distill_monotone_in_m(rng):
     for _ in range(20):
         psi = random_pure((4, 4), rng)

@@ -1,5 +1,6 @@
 """Conic solver, relaxation bounds, eigenvalue criteria, and witnesses."""
 
+import inspect
 import os
 import resource
 import subprocess
@@ -17,6 +18,7 @@ from gme.sdp import (
     SdpProblem,
     evaluate_witness,
     fidelity_root_sdp,
+    lower_bound,
     lower_bound_mixed,
     lower_bound_subspace_ppt,
     lower_bound_subspace_reduction,
@@ -35,9 +37,12 @@ from gme.states import (
     fidelity,
     total_dim,
 )
+from gme.variational import gme_mixed_multipartite
 from gme.zoo import (
     bell_state,
     bhat_subspace,
+    dicke_mixture_gme,
+    dicke_mixture_state,
     ghz_state,
     horodecki_state,
     isotropic_kgme,
@@ -81,9 +86,7 @@ def test_weak_duality_along_iterates(rng):
     for trial in range(5):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         h = 0.5 * (m + m.conj().T)
-        sol = solve_sdp(
-            SdpProblem([h], [4], [_trace_constraint(4)], sense="max"), keep_history=True
-        )
+        sol = solve_sdp(SdpProblem([h], [4], [_trace_constraint(4)], sense="max"))
         assert sol.history
         for rec in sol.history:
             slack = (
@@ -240,6 +243,45 @@ def test_ppt_relaxation_refused_above_k_2():
     """The PPT set misses states of Schmidt number 2, so at k = 3 it bounds nothing."""
     with pytest.raises(StateError):
         lower_bound_mixed(isotropic_state(3, 0.7), 3, relaxation="ppt")
+
+
+@pytest.mark.parametrize("n,k1,r", [(n, k1, r) for n in (3, 4) for k1 in range(n) for r in (0.2, 0.5, 0.8)])
+def test_multipartite_mixed_bound_brackets_dicke_mixture(n, k1, r):
+    """An n-party mixed state gets a k = 2 bound under every single-party transpose.
+
+    It meets the closed form, and the product-roof upper bound stays above it.
+    """
+    rho = dicke_mixture_state(n, k1, k1 + 1, r)
+    lower = lower_bound_mixed(rho, 2)
+    upper = gme_mixed_multipartite(rho, config=OptimizerConfig(restarts=3, max_iterations=300)).value
+    assert abs(lower - dicke_mixture_gme(n, k1, k1 + 1, r)) < 1e-5
+    assert lower <= upper + 1e-6
+
+
+def test_multipartite_mixed_bound_below_a_loose_closed_form():
+    """dicke_mixture(4, 1, 3, 0.5) has E = 0.5; the PPT relaxation certifies only part of it."""
+    assert 0.0 < lower_bound_mixed(dicke_mixture_state(4, 1, 3, 0.5), 2) <= 0.5
+
+
+def test_multipartite_mixed_bound_refused_above_k_2():
+    with pytest.raises(StateError, match="reduction relaxation needs a bipartite layout"):
+        lower_bound_mixed(dicke_mixture_state(4, 1, 2, 0.3), 3)
+
+
+def test_every_bound_keeps_its_history():
+    """The solver records one KKT snapshot per check; the last is the final iteration."""
+    assert list(inspect.signature(solve_sdp).parameters) == ["problem", "tolerance"]
+    cases = (
+        (bhat_subspace(2, 2, 2), 2),
+        (johnston_subspace(), 3),
+        (bell_state().to_density_matrix(), 2),
+        (isotropic_state(3, 0.7), 2),
+        (isotropic_state(3, 0.7), 3),
+        (dicke_mixture_state(3, 1, 2, 0.3), 2),
+    )
+    for obj, k in cases:
+        _, sol = lower_bound(obj, k, full_output=True)
+        assert sol.history and sol.history[-1]["iteration"] == sol.iterations
 
 
 # ---------------------------------------------------------------------------

@@ -291,6 +291,12 @@ def test_haar_marginals_d4():
         haar_eigmarginal_d4(5, 0.1)
 
 
+def test_haar_densities_refuse_d_below_2():
+    for density in (haar_egd_density, haar_egd_cdf, haar_psucc_full_density):
+        with pytest.raises(StateError, match="need d >= 2"):
+            density(1, 1.0)
+
+
 def test_haar_psucc_density():
     x = 0.37
     assert abs(haar_psucc_full_density(2, x) - 3 * (1 - x) ** 2) < 1e-14

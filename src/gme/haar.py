@@ -68,10 +68,11 @@ class ExperimentConfig:
         if len(dims) != 2:
             raise StateError("the Haar experiment is defined for bipartite layouts")
         d = min(dims)
-        for name, values in (("k", self.k_values), ("m", self.m_values)):
-            for v in values:
-                if not 1 <= v <= d:
-                    raise StateError(f"{name}={v} outside [1, {d}] for local dimensions {dims}")
+        for k in self.k_values:
+            if not 1 <= k <= d:
+                raise StateError(f"k={k} outside [1, {d}] for local dimensions {dims}")
+        for m in self.m_values:
+            _check_distill_target(m, d)
         if self.n_bins < 1:
             raise StateError(f"need at least one histogram bin, got {self.n_bins}")
 

@@ -9,12 +9,15 @@ whose affine constraints come in three kinds, each stated in its own form:
 * **links** ``X_dst = L_j(S)``: whole blocks held at linear images of one
   diagonal sub-block ``S`` of a source block.  Each map is given as the pair of
   callables ``L_j`` and ``L_j*``, together with the closed-form inverse of
-  ``I + sum_j L_j* L_j`` on ``S`` (see ``Links``);
+  ``I + sum_j L_j* L_j`` on ``S`` (see ``Links``).  Each partial transpose
+  is compiled once per problem into a flat index permutation, and the
+  reduction map adds a partial trace onto a diagonal view of ``-p X``;
 * **fixed sub-blocks** ``X_b[i:i+n, i:i+n] = F``, a coordinate overwrite;
 * a few **scalar constraints** ``sum_b Tr[F_ib X_b] = c_i``.
 
 It runs over-relaxed operator splitting: alternating projection onto the
-affine set and onto the PSD cones (by eigenvalue clipping).  No link or fixed
+affine set and onto the PSD cones (by eigenvalue clipping, with one batched
+``eigh`` per run of consecutive equal-size blocks).  No link or fixed
 sub-block is ever listed out as constraint rows.  With ``P_S`` the projection
 onto the links and fixed sub-blocks (an overwrite plus one closed-form solve
 on ``S``) and ``A x = b`` the scalar constraints, the affine projection is
@@ -23,7 +26,8 @@ on ``S``) and ``A x = b`` the scalar constraints, the affine projection is
 
 where the small Gram matrix ``G = L L^T`` is factored once, and each
 iteration applies ``G^-1 = L^-T L^-1`` as two products with ``L^-1``.
-Memory grows with the number of block entries, and an iteration costs a few
+Memory grows with the number of block entries.  The iterates live in buffers
+kept for the whole solve, so an iteration costs little beyond its
 eigendecompositions.
 
 The iterates are flat float64 vectors, and block b is a writable (n, n) view
@@ -38,6 +42,7 @@ do.
 
 from __future__ import annotations
 
+import itertools
 import math
 import types
 from dataclasses import dataclass, field
@@ -51,10 +56,10 @@ from .states import (
     PureState,
     StateError,
     Subspace,
+    _check_parties,
     _partial_trace_arr,
     _partial_transpose_arr,
     _support,
-    permute_parties_matrix,
     total_dim,
 )
 from .variational import kgme_pure_multipartite
@@ -177,7 +182,8 @@ class _BlockVec:
     With ``real=True`` (valid whenever every data matrix is real, since the
     real part of any feasible Hermitian point is then feasible with the same
     objective) the blocks are real symmetric and hold n^2 floats instead of
-    2n^2.
+    2n^2.  Consecutive blocks of one size are contiguous in ``flat``, so
+    ``stacks(flat)`` gives each such run as one (count, n, n) view.
     """
 
     def __init__(self, blocks, real=False):
@@ -186,13 +192,23 @@ class _BlockVec:
         floats = 1 if self.real else 2
         self.offsets = np.concatenate([[0], np.cumsum([floats * n * n for n in self.blocks])])
         self.total = int(self.offsets[-1])
+        # runs of consecutive equal-size blocks, as (first block, count, side)
+        self.runs, first = [], 0
+        for n, run in itertools.groupby(self.blocks):
+            count = len(list(run))
+            self.runs.append((first, count, n))
+            first += count
+
+    def stacks(self, flat):
+        """Each run of equal-size blocks of ``flat`` as one writable (count, n, n) view."""
+        out = []
+        for first, count, n in self.runs:
+            seg = flat[self.offsets[first] : self.offsets[first + count]]
+            out.append((seg if self.real else seg.view(complex)).reshape(count, n, n))
+        return out
 
     def views(self, flat):
-        out = []
-        for b, n in enumerate(self.blocks):
-            seg = flat[self.offsets[b] : self.offsets[b + 1]]
-            out.append((seg if self.real else seg.view(complex)).reshape(n, n))
-        return out
+        return [mat for stack in self.stacks(flat) for mat in stack]
 
     def hermitian(self, flat):
         """The blocks of ``flat`` as exactly Hermitian copies."""
@@ -206,10 +222,15 @@ class _BlockVec:
         return out
 
     def project_psd(self, vec):
+        """Clip every block's eigenvalues at zero: one batched ``eigh`` per run of equal sizes.
+
+        LAPACK factors a stack one matrix at a time, so the result equals the
+        per-block calls bit for bit.
+        """
         out = np.empty_like(vec)
-        for mat, dst in zip(self.views(vec), self.views(out)):
-            vals, vecs = np.linalg.eigh(mat)
-            np.matmul(vecs * np.clip(vals, 0.0, None), vecs.conj().T, out=dst)
+        for mats, dst in zip(self.stacks(vec), self.stacks(out)):
+            vals, vecs = np.linalg.eigh(mats)
+            np.matmul(vecs * np.maximum(vals, 0.0)[:, None, :], vecs.conj().swapaxes(1, 2), out=dst)
         return out
 
 
@@ -218,28 +239,34 @@ def _structure_projection(problem: SdpProblem, vec: _BlockVec):
 
     With ``shift=False`` the fixed sub-blocks are set to zero instead of their
     values, which projects onto the linear subspace parallel to the set.
+    ``project`` writes into one buffer, with its block views made once, and
+    returns it: the result holds until the next call.
     """
+    out = np.empty(vec.total)
+    mats = vec.views(out)
+
+    def sub_block(b, start, side):
+        return mats[b][start : start + side, start : start + side]
+
     fixed = [
-        (b, slice(start, start + np.shape(value)[0]), np.asarray(value).real if vec.real else np.asarray(value))
+        (sub_block(b, start, np.shape(value)[0]), np.asarray(value).real if vec.real else np.asarray(value))
         for b, start, value in problem.fixed
     ]
     links = problem.links
     if links is not None:
-        src = slice(links.start, links.start + links.side)
+        src = sub_block(links.block, links.start, links.side)
+        images = [(mats[dst], forward, adjoint) for dst, forward, adjoint in links.images]
 
     def project(v, shift=True):
-        out = v.copy()
-        mats = vec.views(out)
-        for b, sub, value in fixed:
-            mats[b][sub, sub] = value if shift else 0.0
+        np.copyto(out, v)
+        for sub, value in fixed:
+            sub[...] = value if shift else 0.0
         if links is not None:
             # argmin over S of |S - V_S|^2 + sum_j |L_j(S) - V_j|^2
-            s = links.inverse(
-                mats[links.block][src, src] + sum(adjoint(mats[dst]) for dst, _, adjoint in links.images)
-            )
-            mats[links.block][src, src] = s
-            for dst, forward, _ in links.images:
-                mats[dst][...] = forward(s)
+            s = links.inverse(src + sum(adjoint(image) for image, _, adjoint in images))
+            src[...] = s
+            for image, forward, _ in images:
+                image[...] = forward(s)
         return out
 
     return project
@@ -295,18 +322,24 @@ def solve_sdp(problem: SdpProblem, tolerance: float = 1e-7) -> SdpSolution:
     b_rhs = np.array([rhs for _, rhs in problem.constraints], dtype=float) / row_scale
 
     # the scalar constraints restricted to the structure: rows P_S a_i, Gram A P_S A^T
-    pa_rows = np.array([project(row, shift=False) for row in a_rows]).reshape(m, vec.total)
+    pa_rows = np.empty_like(a_rows)
+    for row, dst in zip(a_rows, pa_rows):
+        dst[...] = project(row, shift=False)
     if m:
         gram = pa_rows @ pa_rows.T
         gram[np.diag_indices(m)] += 1e-12
         inverse_factor = sla.cho_factor(gram)
 
-    def proj_affine(v):
-        """The affine projection of v and the Gram solve G^-1 (A P_S v - b)."""
+    # iterates and work space, kept for the whole solve
+    x, v, z, u, x_relaxed, work = (np.zeros(vec.total) for _ in range(6))
+
+    def proj_affine():
+        """Write the affine projection of v into x; return the Gram solve G^-1 (A P_S v - b)."""
         p = project(v)
         w = a_rows @ p - b_rhs
         lam = sla.cho_solve(inverse_factor, w) if m else w
-        return p - pa_rows.T @ lam, lam
+        np.subtract(p, np.dot(lam, pa_rows), out=x)
+        return lam
 
     def kkt(x, v, z, u, sigma):
         """Objectives and residuals at one iterate, in reported units, and the relative gap.
@@ -330,28 +363,31 @@ def solve_sdp(problem: SdpProblem, tolerance: float = 1e-7) -> SdpSolution:
         }
         return record, abs(p_obj - d_obj) / (1.0 + abs(p_obj) + abs(d_obj))
 
-    x0, _ = proj_affine(np.zeros(vec.total))
-    if np.linalg.norm(a_rows @ x0 - b_rhs) > 1e-7 * (1.0 + np.linalg.norm(b_rhs)):
+    proj_affine()
+    if np.linalg.norm(a_rows @ x - b_rhs) > 1e-7 * (1.0 + np.linalg.norm(b_rhs)):
         return SdpSolution(
-            math.nan, math.nan, vec.hermitian(x0), np.zeros(m), math.inf, math.inf, 0,
+            math.nan, math.nan, vec.hermitian(x), np.zeros(m), math.inf, math.inf, 0,
             "infeasible_suspected", [],
         )
 
     sigma = 1.0
+    c_sigma = c / sigma
     alpha = OVER_RELAXATION
-    z = np.zeros(vec.total)
-    u = np.zeros(vec.total)
-    x = x0
     history = []
     status = "max_iterations"
 
     for it in range(1, MAX_ITERATIONS + 1):
-        v = z - u - c / sigma
-        x, _ = proj_affine(v)
-        x_relaxed = alpha * x + (1.0 - alpha) * z
-        z_new = vec.project_psd(x_relaxed + u)
-        u = u + x_relaxed - z_new
-        shift = np.linalg.norm(z_new - z)
+        np.subtract(z, u, out=v)
+        v -= c_sigma
+        proj_affine()
+        np.multiply(x, alpha, out=x_relaxed)
+        x_relaxed += (1.0 - alpha) * z
+        np.add(x_relaxed, u, out=work)
+        z_new = vec.project_psd(work)
+        u += x_relaxed
+        u -= z_new
+        np.subtract(z_new, z, out=work)
+        shift = np.linalg.norm(work)
         z = z_new
 
         if it % CHECK_EVERY == 0 or it == MAX_ITERATIONS:
@@ -366,13 +402,16 @@ def solve_sdp(problem: SdpProblem, tolerance: float = 1e-7) -> SdpSolution:
             if raw_p > 10.0 * raw_d and sigma < 1e6:
                 u /= 2.0
                 sigma *= 2.0
+                c_sigma = c / sigma
             elif raw_d > 10.0 * raw_p and sigma > 1e-6:
                 u *= 2.0
                 sigma /= 2.0
+                c_sigma = c / sigma
 
     # consistent final KKT snapshot
-    v = z - u - c / sigma
-    x, lam = proj_affine(v)
+    np.subtract(z, u, out=v)
+    v -= c_sigma
+    lam = proj_affine()
     record, _ = kkt(x, v, z, u, sigma)
     return SdpSolution(
         primal_value=record["primal_objective"],
@@ -398,18 +437,23 @@ def ppt_min_eig(rho: DensityMatrix, party_set=(0,)) -> float:
 
 
 def reduction_image(rho_mat, dims, party_set, p):
-    """Apply the map X -> Tr[X] I - p X on the party_set subsystem of rho."""
+    """Apply the map X -> Tr[X] I - p X on the party_set subsystem of rho.
+
+    The partial trace over party_set is added onto the diagonal of those
+    parties in (-p) X, read as a writable einsum view.
+    """
     keep, keep_dims = _partial_trace_arr(rho_mat, dims, party_set)
-    party_set = tuple(sorted(party_set))
+    traced = _check_parties(dims, party_set)
     n = len(dims)
-    others = [i for i in range(n) if i not in party_set]
-    traced_dim = total_dim([dims[i] for i in party_set])
-    # embed keep (x) I at the party_set slots, parties ordered others + party_set
-    embedded = np.kron(keep, np.eye(traced_dim))
-    perm_back = np.argsort(others + list(party_set))
-    big_dims = tuple(keep_dims) + tuple(dims[i] for i in party_set)
-    embedded = permute_parties_matrix(embedded, big_dims, perm_back)
-    return embedded - p * np.asarray(rho_mat)
+    out = (-p) * np.asarray(rho_mat)
+    # einsum labels: row index i is i, column index i is n + i, or i again for a traced party
+    cols = [i if i in traced else n + i for i in range(n)]
+    kept = [i for i in range(n) if i not in traced]
+    diagonal = np.einsum(
+        out.reshape(tuple(dims) * 2), list(range(n)) + cols, kept + [n + i for i in kept] + list(traced)
+    )
+    diagonal += keep.reshape(tuple(keep_dims) * 2 + (1,) * len(traced))
+    return out
 
 
 def reduction_min_eig(rho: DensityMatrix, party_set=(1,), k: int = 1) -> float:
@@ -435,10 +479,13 @@ def _transpose_links(dims, k, start=0) -> Links:
     single-party transpose.  A partial transpose permutes matrix entries, so
     T_j* T_j = I and (I + sum_j T_j* T_j)^-1 = 1 / (1 + n).
     """
+    d = total_dim(dims)
     parties = [(0,)] if len(dims) == 2 else [(i,) for i in range(len(dims))]
-    maps = [lambda x, p=p: _partial_transpose_arr(x, dims, p) for p in parties]
+    # each transpose compiled once into the flat index permutation it applies
+    perms = [_partial_transpose_arr(np.arange(d * d).reshape(d, d), dims, p) for p in parties]
+    maps = [lambda x, perm=perm: x.take(perm) for perm in perms]
     images = tuple((1 + j, pt, pt) for j, pt in enumerate(maps))
-    return Links(0, start, total_dim(dims), images, lambda x: x / (1.0 + len(maps)))
+    return Links(0, start, d, images, lambda x: x / (1.0 + len(maps)))
 
 
 def _reduction_links(dims, k, start=0) -> Links:

@@ -583,7 +583,10 @@ def dicke_mixture_gme(n: int, k1: int, k2: int, r: float) -> float:
     """Convex-roof GME of the rank-2 Dicke mixture at weight r.
 
     Evaluates the pure-state curve on ``DICKE_MIXTURE_GRID`` evenly spaced
-    weights in [0, 1] and returns the lower convex envelope at r.
+    weights in [0, 1] and returns the lower convex envelope at r, or the
+    pure-state value at r where that is lower: on a convex stretch of the
+    curve the chord between two grid vertices lies above it, and the curve
+    itself is the envelope there.
     """
     _check_dicke_mixture(n, k1, k2, r)
     ws = np.linspace(0.0, 1.0, DICKE_MIXTURE_GRID)
@@ -597,7 +600,7 @@ def dicke_mixture_gme(n: int, k1: int, k2: int, r: float) -> float:
         return hull[-1][1]
     (x1, y1), (x2, y2) = hull[idx - 1], hull[idx]
     t = 0.0 if x2 == x1 else (r - x1) / (x2 - x1)
-    return float(y1 + t * (y2 - y1))
+    return float(min(y1 + t * (y2 - y1), dicke_mixture_pure_gme(n, k1, k2, r)))
 
 
 # ---------------------------------------------------------------------------

@@ -297,6 +297,17 @@ def test_haar_refuses_k_above_local_dimension(capsys, tmp_path, dims, k):
     assert not (tmp_path / "samples.csv").exists()
 
 
+def test_haar_refuses_a_distill_target_as_transform_does(capsys, tmp_path):
+    """Both commands check a target dimension m with the same rule and message."""
+    code_h, out_h, err_h = run_cli(
+        capsys, "haar", "--dims", "4,4", "--samples", "10", "--m", "0", "--out", str(tmp_path)
+    )
+    code_t, out_t, err_t = run_cli(capsys, "transform", "--from", "bell", "--distill", "0")
+    assert code_h == code_t == 2 and out_h == out_t == ""
+    assert err_h == err_t == "gme: target dimension m=0 must be at least 1\n"
+    assert not (tmp_path / "samples.csv").exists()
+
+
 def test_haar_refuses_zero_bins(capsys, tmp_path):
     code, out, err = run_cli(capsys, "haar", "--samples", "5", "--bins", "0", "--out", str(tmp_path))
     assert code == 2 and out == "" and "bin" in err

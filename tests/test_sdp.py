@@ -16,6 +16,9 @@ from gme.optimizers import OptimizerConfig
 from gme.sdp import (
     Links,
     SdpProblem,
+    _BlockVec,
+    _reduction_links,
+    _transpose_links,
     evaluate_witness,
     fidelity_root_sdp,
     lower_bound,
@@ -33,8 +36,10 @@ from gme.states import (
     PureState,
     StateError,
     Subspace,
+    _partial_trace_arr,
     _partial_transpose_arr,
     fidelity,
+    permute_parties_matrix,
     total_dim,
 )
 from gme.variational import gme_mixed_multipartite
@@ -438,6 +443,63 @@ def test_block_values_exactly_hermitian(rng):
             assert sol.status == "optimal"
             for b in sol.block_values:
                 assert b.dtype == dtype and np.array_equal(b, b.conj().T)
+
+
+def _kron_reduction_image(rho_mat, dims, party_set, p):
+    """Reference reduction map: the partial trace embedded by np.kron, permuted back, minus p X."""
+    keep, keep_dims = _partial_trace_arr(rho_mat, dims, party_set)
+    party_set = tuple(sorted(party_set))
+    others = [i for i in range(len(dims)) if i not in party_set]
+    embedded = np.kron(keep, np.eye(total_dim([dims[i] for i in party_set])))
+    big_dims = tuple(keep_dims) + tuple(dims[i] for i in party_set)
+    embedded = permute_parties_matrix(embedded, big_dims, np.argsort(others + list(party_set)))
+    return embedded - p * np.asarray(rho_mat)
+
+
+def _random_hermitian(d, rng, real):
+    x = rng.standard_normal((d, d))
+    if not real:
+        x = x + 1j * rng.standard_normal((d, d))
+    return x + x.conj().T
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+@pytest.mark.parametrize("dims", [(2, 3), (2, 3, 2)])
+def test_compiled_links_equal_their_formulas(rng, dims, real):
+    """Link maps compiled once per problem give the formulas' bits exactly."""
+    x = _random_hermitian(total_dim(dims), rng, real)
+    parties = [(0,)] if len(dims) == 2 else [(0,), (1,), (2,)]
+    links = _transpose_links(dims, 2)
+    assert [dst for dst, _, _ in links.images] == list(range(1, 1 + len(parties)))
+    for (_, forward, adjoint), party in zip(links.images, parties):
+        want = _partial_transpose_arr(x, dims, party)
+        assert np.array_equal(forward(x), want) and np.array_equal(adjoint(x), want)
+    for party_set in [(0,), (1,)] + ([(0, 2)] if len(dims) == 3 else []):
+        for p in (0.0, 0.5, 1.0):
+            want = _kron_reduction_image(x, dims, party_set, p)
+            assert np.array_equal(reduction_image(x, dims, party_set, p), want)
+    if len(dims) == 2:
+        k, p, d_b = 3, 0.5, dims[1]
+        links = _reduction_links(dims, k)
+        (_, forward, adjoint), = links.images
+        want = _kron_reduction_image(x, dims, (1,), p)
+        assert np.array_equal(forward(x), want) and np.array_equal(adjoint(x), want)
+        pi_x = _kron_reduction_image(x, dims, (1,), 0.0) / d_b
+        want = (x - pi_x) / (1.0 + p * p) + pi_x / (1.0 + (d_b - p) ** 2)
+        assert np.array_equal(links.inverse(x), want)
+
+
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_batched_psd_projection_equals_per_block_eigh(rng, real):
+    """Runs of equal-size blocks share one eigh; the result equals the per-block loop exactly."""
+    vec = _BlockVec([5, 3, 3, 5], real=real)
+    assert vec.runs == [(0, 1, 5), (1, 2, 3), (3, 1, 5)]
+    flat = vec.flatten([_random_hermitian(n, rng, real) for n in vec.blocks])
+    want = np.empty_like(flat)
+    for mat, dst in zip(vec.views(flat), vec.views(want)):
+        vals, vecs = np.linalg.eigh(mat)
+        np.matmul(vecs * np.clip(vals, 0.0, None), vecs.conj().T, out=dst)
+    assert np.array_equal(vec.project_psd(flat), want)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7])

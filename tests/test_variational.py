@@ -20,6 +20,7 @@ from gme.variational import (
 )
 from gme.trivializations import BoundedRankAnsatz, RoofAnsatz, Stiefel, polar
 from gme.zoo import (
+    dicke_mixture_state,
     dicke_state,
     ghz_state,
     isotropic_kgme,
@@ -100,6 +101,18 @@ def test_mixed_monotone_in_k():
     rho = isotropic_state(3, 0.9)
     vals = [kgme_mixed(rho, k, n_entries=12, config=FAST.with_(restarts=2)).value for k in (2, 3)]
     assert vals[0] >= vals[1] - 1e-6
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_mixed_multipartite_roof_at_k_3(seed):
+    """The n-party k = 3 roof of dicke_mixture(4, 1, 2, 0.3) is seed-independent
+    and below the k = 2 product roof."""
+    rho = dicke_mixture_state(4, 1, 2, 0.3)
+    cfg = OptimizerConfig(restarts=3, max_iterations=300, seed=seed)
+    est = kgme_mixed(rho, 3, config=cfg)
+    assert abs(est.value - 0.0522153220) < 1e-8
+    assert np.ptp(est.per_restart_values) < 1e-8
+    assert est.value < gme_mixed_multipartite(rho, config=cfg).value
 
 
 def test_mixed_convexity(rng):

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from gme.optimizers import OptimizerConfig
 from gme.serialize import parse_spec_string, spec_kind
 from gme.states import DensityMatrix, PureState, StateError, Subspace, partial_transpose
+from gme.variational import gme_mixed_multipartite
 from gme.zoo import (
     _D4_MARGINAL_NORMS,
     FAMILIES,
@@ -25,6 +27,7 @@ from gme.zoo import (
     dicke_gme,
     dicke_mixture_gme,
     dicke_mixture_pure_gme,
+    dicke_mixture_state,
     dicke_state,
     ghz_state,
     haar_eg2_density_d4,
@@ -264,6 +267,17 @@ def test_dicke_mixture_convexity():
         val = dicke_mixture_gme(n, k1, k2, r)
         assert val <= r * e1 + (1 - r) * e2 + 1e-10
         assert val <= dicke_mixture_pure_gme(n, k1, k2, r) + 1e-10
+
+
+@pytest.mark.parametrize("n, r", [(3, 0.2), (3, 0.8), (4, 0.2), (4, 0.8)])
+def test_dicke_mixture_never_above_the_product_roof(n, r):
+    """On a convex stretch of the pure-state curve the chord between grid
+    vertices lies above the curve; the closed form must not exceed a roof
+    upper bound there."""
+    upper = gme_mixed_multipartite(
+        dicke_mixture_state(n, 0, 1, r), config=OptimizerConfig(restarts=3, max_iterations=300)
+    ).value
+    assert upper >= dicke_mixture_gme(n, 0, 1, r) - 1e-9
 
 
 def test_haar_egd_density_and_cdf():

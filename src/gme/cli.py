@@ -68,15 +68,11 @@ def _optimizer_config(args) -> OptimizerConfig:
 
 
 def _add_optimizer_flags(parser):
-    parser.add_argument("--restarts", type=int, default=10)
-    parser.add_argument("--tol", type=float, default=1e-10)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-iterations", type=int, default=1000)
-    parser.add_argument(
-        "--ansatz-terms",
-        default="auto",
-        help="decomposition entries for mixed-state roofs (auto = rank-based default)",
-    )
+    defaults = OptimizerConfig()
+    parser.add_argument("--restarts", type=int, default=defaults.restarts)
+    parser.add_argument("--tol", type=float, default=defaults.gradient_tolerance)
+    parser.add_argument("--seed", type=int, default=defaults.seed)
+    parser.add_argument("--max-iterations", type=int, default=defaults.max_iterations)
 
 
 def _ansatz_terms(args, rho):
@@ -188,8 +184,8 @@ def cmd_criteria(args):
         "ppt_min_eig": ppt,
         "reduction_min_eig": red,
         "k": args.k,
-        "ppt_entangled": bool(ppt < -1e-10),
-        "schmidt_number_above_k": bool(red < -1e-10),
+        "ppt_entangled": bool(ppt < sdp.MIN_EIG_DETECTS),
+        "schmidt_number_above_k": bool(red < sdp.MIN_EIG_DETECTS),
         "seed": args.seed,
         "method": "criteria",
     }
@@ -203,7 +199,7 @@ def cmd_criteria(args):
             raise CliError(str(exc), EXIT_NUMERIC) from exc
         record["witness_threshold"] = wit.threshold
         record["witness_value"] = sdp.evaluate_witness(wit, obj)
-        record["witness_detects"] = bool(record["witness_value"] < -1e-8)
+        record["witness_detects"] = bool(record["witness_value"] < sdp.WITNESS_DETECTS)
     _emit(record)
 
 
@@ -289,6 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bipartition like 0|12 to regroup parties: one digit per party, or "
                         "comma-separated indices once the partition has a comma (0,1|2,10)")
     _add_optimizer_flags(p)
+    p.add_argument("--ansatz-terms", default="auto",
+                   help="decomposition entries for mixed-state roofs (auto = rank-based default)")
     p.set_defaults(func=cmd_mixed)
 
     p = sub.add_parser("bound", help="certified SDP lower bounds")

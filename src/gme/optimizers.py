@@ -9,14 +9,14 @@ stack, so restart i follows exactly the iterates it would follow alone: the
 results do not depend on how many restarts run, nor on which of them are still
 running.
 
-Each restart runs scipy's L-BFGS-B, driven through the reverse-communication
-loop of its ``setulb`` routine with a workspace of its own, and with the
-options and stopping rules that ``scipy.optimize.minimize`` applies for
-L-BFGS-B.  ``setulb`` comes from SciPy's compiled extension file; the
-``scipy.optimize`` package itself is not imported.  An inner run that stops
-with iterations left and progress made is started afresh from its final point
-(new curvature memory), which keeps descending on ill-scaled objectives after
-a failed line search.
+Each restart is one object, ``_LbfgsbRestart``: it runs scipy's L-BFGS-B,
+driven through the reverse-communication loop of its ``setulb`` routine with a
+workspace of its own, and with the options and stopping rules that
+``scipy.optimize.minimize`` applies for L-BFGS-B.  ``setulb`` comes from SciPy's
+compiled extension file; the ``scipy.optimize`` package itself is not imported.
+A run that stops with iterations left and progress made is followed by a fresh
+run from its final point (new workspace, new curvature memory), which keeps
+descending on ill-scaled objectives after a failed line search.
 """
 
 from __future__ import annotations
@@ -127,74 +127,35 @@ class Objective:
         return self.fun_grad(np.asarray(theta, dtype=float)[None])[1][0]
 
 
-class _LbfgsbRun:
-    """One L-BFGS-B run of one restart, driven through setulb's reverse communication.
+class _LbfgsbRestart:
+    """One restart: L-BFGS-B runs from its start, each new one from the last's final point.
 
-    This is the loop of scipy's ``_minimize_lbfgsb`` without bounds, cut where it
-    calls the objective: ``advance`` returns True when setulb needs f and g at
-    ``x`` (handed back through ``tell``) and False once the run has stopped.
-    Evaluations are counted as scipy's ``ScalarFunction`` counts them.
+    A run is the loop of scipy's ``_minimize_lbfgsb`` without bounds, driven
+    through setulb's reverse communication and cut where it calls the objective:
+    ``wants_evaluation`` returns True when setulb needs f and g at ``x`` (handed
+    back through ``tell``).  Evaluations are counted as scipy's ``ScalarFunction``
+    counts them.  A run that stops with iterations left and progress made is
+    followed by a fresh run from its final point; once none follows,
+    ``wants_evaluation`` returns False and ``x`` holds the final point.
     """
-
-    def __init__(self, x0, maxiter: int, config: OptimizerConfig):
-        n, m = x0.size, MEMORY
-        self.x = np.array(x0, dtype=float)
-        self.f = np.array(0.0)
-        self.g = np.zeros(n)
-        self.maxiter, self.pgtol = maxiter, config.gradient_tolerance
-        self.free = np.zeros(n)  # bounds, unused: nbd = 0 marks every variable free
-        self.nbd = np.zeros(n, np.int32)
-        self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
-        self.iwa = np.zeros(3 * n, np.int32)
-        self.task = np.zeros(2, np.int32)
-        self.ln_task = np.zeros(2, np.int32)
-        self.lsave = np.zeros(4, np.int32)
-        self.isave = np.zeros(44, np.int32)
-        self.dsave = np.zeros(29)
-        self.nit = self.nfev = 0
-        self.last = None  # (x, f, g) of the latest evaluation
-
-    def advance(self) -> bool:
-        while True:
-            # a fresh copy each call, as scipy passes it: setulb may write into g
-            self.g = self.g.astype(np.float64)
-            _lbfgsb.setulb(MEMORY, self.x, self.free, self.free, self.nbd, self.f, self.g,
-                           FACTR, self.pgtol, self.wa, self.iwa, self.task, self.lsave,
-                           self.isave, self.dsave, MAXLS, self.ln_task)
-            if self.task[0] == _FG:
-                if self.last is None or not np.array_equal(self.x, self.last[0]):
-                    return True
-                _, self.f, self.g = self.last
-            elif self.task[0] == _NEW_X:
-                self.nit += 1
-                if self.nit >= self.maxiter:
-                    self.task[:] = 5, 504  # STOP: iteration limit
-                elif self.nfev > MAXFUN:
-                    self.task[:] = 5, 502  # STOP: evaluation limit
-            else:
-                return False
-
-    def tell(self, f, g):
-        self.nfev += 1
-        self.f, self.g = float(f), g
-        self.last = (self.x.copy(), self.f, g)
-
-
-class _LbfgsRestart:
-    """One restart: L-BFGS-B runs from its start, each new one from the last's final point."""
 
     def __init__(self, x0, config: OptimizerConfig):
         self.config = config
-        self.x, self.value, self.grad_norm, self.used = x0, np.inf, np.inf, 0
-        self._next_run()
+        self.value, self.grad_norm, self.used, self.done = np.inf, np.inf, 0, False
+        self.free = np.zeros(x0.size)  # bounds, unused: nbd = 0 marks every variable free
+        self.nbd = np.zeros(x0.size, np.int32)
+        self._start_run(x0)
 
-    def _next_run(self):
-        left = self.config.max_iterations - self.used
-        self.run = _LbfgsbRun(self.x, left, self.config) if left > 0 else None
-
-    @property
-    def point(self):
-        return self.run.x
+    def _start_run(self, x0):
+        """A new run from x0, with a fresh workspace, as scipy's ``minimize`` starts one."""
+        n, m = x0.size, MEMORY
+        self.x, self.f, self.g = np.array(x0, dtype=float), np.array(0.0), np.zeros(n)
+        self.wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+        self.iwa = np.zeros(3 * n, np.int32)
+        self.task, self.ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+        self.lsave, self.isave, self.dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+        self.nit = self.nfev = 0
+        self.last = None  # (x, f, g) of the run's latest evaluation
 
     @property
     def converged(self) -> bool:
@@ -202,22 +163,37 @@ class _LbfgsRestart:
 
     def wants_evaluation(self) -> bool:
         """Advance to the next point that needs f and g; False once this restart is done."""
-        while self.run is not None:
-            if self.run.advance():
-                return True
-            run = self.run
-            self.used += max(run.nit, 1)
-            progress = self.value - float(run.f)
-            self.value, self.x = float(run.f), run.x
-            self.grad_norm = float(np.max(np.abs(run.g)))
-            if self.grad_norm <= self.config.gradient_tolerance or progress <= 1e-16:
-                self.run = None
-            else:
-                self._next_run()
+        tol = self.config.gradient_tolerance
+        while not self.done:
+            # a fresh copy each call, as scipy passes it: setulb may write into g
+            self.g = self.g.astype(np.float64)
+            _lbfgsb.setulb(MEMORY, self.x, self.free, self.free, self.nbd, self.f, self.g,
+                           FACTR, tol, self.wa, self.iwa, self.task, self.lsave,
+                           self.isave, self.dsave, MAXLS, self.ln_task)
+            if self.task[0] == _FG:
+                if self.last is None or not np.array_equal(self.x, self.last[0]):
+                    return True
+                _, self.f, self.g = self.last
+            elif self.task[0] == _NEW_X:
+                self.nit += 1
+                if self.used + self.nit >= self.config.max_iterations:
+                    self.task[:] = 5, 504  # STOP: iteration limit
+                elif self.nfev > MAXFUN:
+                    self.task[:] = 5, 502  # STOP: evaluation limit
+            else:  # the run has stopped
+                self.used += max(self.nit, 1)
+                progress, self.value = self.value - float(self.f), float(self.f)
+                self.grad_norm = float(np.max(np.abs(self.g)))
+                self.done = (self.grad_norm <= tol or progress <= 1e-16
+                             or self.used >= self.config.max_iterations)
+                if not self.done:
+                    self._start_run(self.x)
         return False
 
     def tell(self, f, g):
-        self.run.tell(f, g)
+        self.nfev += 1
+        self.f, self.g = float(f), g
+        self.last = (self.x.copy(), self.f, g)
 
 
 def minimize(obj: Objective, config: OptimizerConfig | None = None) -> GmeEstimate:
@@ -227,13 +203,13 @@ def minimize(obj: Objective, config: OptimizerConfig | None = None) -> GmeEstima
     by the lowest restart index, so the outcome does not depend on scheduling.
     """
     config = config or OptimizerConfig()
-    restarts = [_LbfgsRestart(np.random.default_rng(config.seed + i).standard_normal(obj.input_len),
-                              config)
+    restarts = [_LbfgsbRestart(np.random.default_rng(config.seed + i).standard_normal(obj.input_len),
+                               config)
                 for i in range(config.restarts)]
     # lock-step: one stacked evaluation per round for every restart still running
     active = restarts
     while active := [r for r in active if r.wants_evaluation()]:
-        values, grads = obj.fun_grad(np.stack([r.point for r in active]))
+        values, grads = obj.fun_grad(np.stack([r.x for r in active]))
         for r, f, g in zip(active, values, grads):
             r.tell(f, g)
     values = np.array([r.value for r in restarts])

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import DensityMatrix, PureState, StateError, schmidt_spectrum
+from .states import RANK_CUTOFF, DensityMatrix, PureState, StateError, schmidt_spectrum
 
 _SUM_ATOL = 1e-12
 
@@ -115,8 +115,8 @@ def nielsen_transformable(psi: PureState, phi: PureState, bipartition=(0,)) -> b
 
 
 def _schmidt_rank(lam) -> int:
-    # singular-value cutoff 1e-12 on coefficients, i.e. 1e-24 on eigenvalues
-    return max(1, int(np.count_nonzero(lam > 1e-24)))
+    # the singular-value cutoff on coefficients, squared for eigenvalues
+    return max(1, int(np.count_nonzero(lam > RANK_CUTOFF ** 2)))
 
 
 def vidal_probability(psi: PureState, phi: PureState, bipartition=(0,)) -> TransformReport:

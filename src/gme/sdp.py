@@ -68,6 +68,8 @@ HERM_ATOL = 1e-10
 OVER_RELAXATION = 1.6
 GAP_TOL = 1e-6
 NONCERTIFYING = 1e-6   # bounds below this are reported verbatim but certify nothing
+MIN_EIG_DETECTS = -1e-10  # ppt_min_eig / reduction_min_eig below this certify entanglement
+WITNESS_DETECTS = -1e-8   # evaluate_witness below this certifies detection
 INVERSE_RTOL = 1e-9    # build-time check of a closed-form link inverse
 MAX_ITERATIONS = 100_000
 CHECK_EVERY = 25       # iterations between KKT checks, history records and sigma updates
@@ -431,28 +433,36 @@ def solve_sdp(problem: SdpProblem, tolerance: float = 1e-7) -> SdpSolution:
 
 
 def ppt_min_eig(rho: DensityMatrix, party_set=(0,)) -> float:
-    """Minimum eigenvalue of the partial transpose; below -1e-10 certifies entanglement."""
+    """Minimum eigenvalue of the partial transpose; below ``MIN_EIG_DETECTS`` certifies entanglement."""
     pt = _partial_transpose_arr(rho.matrix, rho.dims, party_set)
     return float(np.linalg.eigvalsh(pt)[0])
 
 
-def reduction_image(rho_mat, dims, party_set, p):
-    """Apply the map X -> Tr[X] I - p X on the party_set subsystem of rho.
+def _add_lifted(out, dims, traced, keep):
+    """Add keep (x) I, with I on the ``traced`` parties, onto ``out`` in place.
 
-    The partial trace over party_set is added onto the diagonal of those
-    parties in (-p) X, read as a writable einsum view.
+    Only the diagonal of the traced parties changes; it is read as a writable
+    einsum view.
     """
-    keep, keep_dims = _partial_trace_arr(rho_mat, dims, party_set)
-    traced = _check_parties(dims, party_set)
     n = len(dims)
-    out = (-p) * np.asarray(rho_mat)
     # einsum labels: row index i is i, column index i is n + i, or i again for a traced party
     cols = [i if i in traced else n + i for i in range(n)]
     kept = [i for i in range(n) if i not in traced]
     diagonal = np.einsum(
         out.reshape(tuple(dims) * 2), list(range(n)) + cols, kept + [n + i for i in kept] + list(traced)
     )
-    diagonal += keep.reshape(tuple(keep_dims) * 2 + (1,) * len(traced))
+    diagonal += keep.reshape(tuple(dims[i] for i in kept) * 2 + (1,) * len(traced))
+
+
+def reduction_image(rho_mat, dims, party_set, p):
+    """Apply the map X -> Tr[X] I - p X on the party_set subsystem of rho.
+
+    The partial trace over party_set is added onto the diagonal of those
+    parties in (-p) X.
+    """
+    keep, _ = _partial_trace_arr(rho_mat, dims, party_set)
+    out = (-p) * np.asarray(rho_mat)
+    _add_lifted(out, dims, _check_parties(dims, party_set), keep)
     return out
 
 
@@ -460,7 +470,7 @@ def reduction_min_eig(rho: DensityMatrix, party_set=(1,), k: int = 1) -> float:
     """Minimum eigenvalue under the k-positive generalized reduction map.
 
     Uses the map Tr[X] I - X/k, which is positive on states of Schmidt number
-    at most k, so a value below -1e-10 certifies Schmidt number > k.
+    at most k, so a value below ``MIN_EIG_DETECTS`` certifies Schmidt number > k.
     """
     if k < 1:
         raise StateError("k must be >= 1")
@@ -503,7 +513,8 @@ def _reduction_links(dims, k, start=0) -> Links:
         return reduction_image(x, dims, (1,), p)
 
     def inverse(x):
-        pi_x = reduction_image(x, dims, (1,), 0.0) / d_b
+        pi_x = np.zeros(x.shape, x.dtype)
+        _add_lifted(pi_x, dims, (1,), np.trace(x.reshape(tuple(dims) * 2), axis1=1, axis2=3) / d_b)
         return (x - pi_x) / (1.0 + p * p) + pi_x / (1.0 + (d_b - p) ** 2)
 
     return Links(0, start, total_dim(dims), ((1, reduce, reduce),), inverse)
@@ -648,7 +659,7 @@ def witness_from_pure(
 
 
 def evaluate_witness(witness: Witness, rho: DensityMatrix) -> float:
-    """Tr[W rho]; a value below -1e-8 certifies detection."""
+    """Tr[W rho]; a value below ``WITNESS_DETECTS`` certifies detection."""
     if witness.matrix.shape[0] != rho.dim:
         raise StateError("dimension mismatch")
     return float(np.real(np.trace(witness.matrix @ rho.matrix)))

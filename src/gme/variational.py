@@ -148,8 +148,6 @@ def make_mixed_roof(rho: DensityMatrix, inner, n_entries: int) -> Objective:
     entries are evaluated as one batch.
     """
     lam_tilde, rank = _rho_eigendata(rho)
-    if n_entries < rank:
-        raise StateError(f"n_entries={n_entries} below rank {rank}")
     ansatz = RoofAnsatz(n_entries, rank, inner)
     stf = ansatz.stiefel
 

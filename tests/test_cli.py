@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from gme import sdp
-from gme.cli import _parse_partition, main
+from gme.cli import _optimizer_config, _parse_partition, build_parser, main
+from gme.optimizers import OptimizerConfig
 from gme.serialize import save_state
 from gme.states import PureState
 from gme.zoo import bell_state, dicke_mixture_gme
@@ -167,6 +168,26 @@ def test_bad_arguments_exit_2(capsys):
 def test_bad_optimizer_budget_or_tolerance_exits_2(capsys, flags):
     code, out, err = run_cli(capsys, "pure", "--state", "ghz", "--k", "2", "--restarts", "1", *flags)
     assert code == 2 and out == "" and err.startswith("gme:")
+
+
+@pytest.mark.parametrize("argv", [("pure", "--state", "ghz"), ("subspace", "--subspace", "ghz"),
+                                  ("criteria", "--state", "bell")], ids=["pure", "subspace", "criteria"])
+def test_ansatz_terms_is_refused_where_nothing_reads_it(capsys, argv):
+    """Only ``mixed`` has a roof decomposition; elsewhere the flag is a usage error, not ignored."""
+    code, out, err = run_cli(capsys, *argv, "--ansatz-terms", "8")
+    assert code == 2 and out == "" and "--ansatz-terms" in err
+
+
+def test_ansatz_terms_below_the_rank_exits_2(capsys):
+    code, out, err = run_cli(capsys, "mixed", "--state", "isotropic:d=3,F=0.7", "--k", "2", "--ansatz-terms", "2")
+    assert code == 2 and out == "" and err.startswith("gme:") and "n_entries >= rank" in err
+
+
+@pytest.mark.parametrize("argv", [("pure", "--state", "ghz"), ("subspace", "--subspace", "ghz"),
+                                  ("mixed", "--state", "bell"), ("criteria", "--state", "bell")],
+                         ids=["pure", "subspace", "mixed", "criteria"])
+def test_optimizer_flag_defaults_are_optimizer_config_defaults(argv):
+    assert _optimizer_config(build_parser().parse_args(argv)) == OptimizerConfig()
 
 
 def _bell_file(tmp_path, kind, where, value):

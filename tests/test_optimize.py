@@ -115,6 +115,10 @@ def _lockstep_problems():
                              OptimizerConfig(restarts=3, max_iterations=200, seed=6)),
         # every restart's first run stops early and is restarted from its final point
         "rayleigh": (make_rayleigh(m + m.conj().T), OptimizerConfig(restarts=4, seed=8)),
+        # the budget passed on: later runs start with 2 and 1 iterations left, and the
+        # iteration limit leaves two restarts none for a later run
+        "rayleigh_budget": (make_rayleigh(m + m.conj().T),
+                            OptimizerConfig(restarts=4, seed=8, max_iterations=18)),
     }
 
 

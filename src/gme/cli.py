@@ -2,6 +2,7 @@
 
 Subcommands dispatch to the compute modules and print one JSON record per
 result: {"value": ..., "k": ..., "method": ..., "converged": ..., "seed": ...}.
+The deterministic subcommands (bound, transform, oracle, convert) take no --seed; seed is 0.
 Exit codes: 0 success, 2 bad arguments, 3 parse failure, 4 numerical failure.
 """
 
@@ -18,7 +19,7 @@ from .haar import ExperimentConfig, haar_experiment
 from .optimizers import OptimizerConfig
 from .pure import distill_probability, nielsen_transformable, vidal_probability
 from .serialize import StateFileError, load_state, parse_spec_string, save_state
-from .states import DensityMatrix, PureState, StateError, Subspace
+from .states import DensityMatrix, PureState, StateError, Subspace, _regroup
 from .zoo import build_family, oracle_gme
 
 EXIT_OK = 0
@@ -75,9 +76,9 @@ def _add_optimizer_flags(parser):
     parser.add_argument("--max-iterations", type=int, default=defaults.max_iterations)
 
 
-def _ansatz_terms(args, rho):
+def _ansatz_terms(args):
     if args.ansatz_terms == "auto":
-        return variational.default_n_entries(rho)
+        return None
     try:
         return int(args.ansatz_terms)
     except ValueError as exc:
@@ -110,17 +111,6 @@ def _parse_partition(text, n_parties):
     return lt
 
 
-def _merge_bipartition(rho: DensityMatrix, left) -> DensityMatrix:
-    """Regroup a multipartite state into the (left | rest) bipartite layout."""
-    from .states import permute_parties_matrix, total_dim
-
-    right = tuple(i for i in range(len(rho.dims)) if i not in left)
-    mat = permute_parties_matrix(rho.matrix, rho.dims, left + right)
-    d_l = total_dim([rho.dims[i] for i in left])
-    d_r = total_dim([rho.dims[i] for i in right])
-    return DensityMatrix(mat, (d_l, d_r))
-
-
 def cmd_pure(args):
     state = _load_any(args.state)
     if not isinstance(state, PureState):
@@ -149,8 +139,8 @@ def cmd_mixed(args):
     cfg = _optimizer_config(args)
     if args.partition is not None:
         left = _parse_partition(args.partition, len(rho.dims))
-        rho = _merge_bipartition(rho, left)
-    n_entries = _ansatz_terms(args, rho)
+        rho = DensityMatrix(*_regroup(rho.matrix, rho.dims, left))
+    n_entries = _ansatz_terms(args)
     if len(rho.dims) > 2 and args.k == 2:
         est = variational.gme_mixed_multipartite(rho, n_entries, cfg)
     else:
@@ -168,7 +158,7 @@ def cmd_bound(args):
     value, sol = sdp.lower_bound(obj, args.k, relaxation, full_output=True)
     if not np.isfinite(value):
         raise CliError("solver failed to produce a finite bound", EXIT_NUMERIC)
-    _emit_result(value, args.k, f"sdp-{relaxation}", sol.status == "optimal", args.seed,
+    _emit_result(value, args.k, f"sdp-{relaxation}", sol.status == "optimal", 0,
                  certifying=bool(value > sdp.NONCERTIFYING))
 
 
@@ -209,7 +199,7 @@ def cmd_transform(args):
         raise CliError("subcommand 'transform' needs pure states", EXIT_USAGE)
     if args.distill is not None:
         report = distill_probability(src, args.distill)
-        _emit_result(report.optimal_probability, report.binding_index, "distill", True, args.seed,
+        _emit_result(report.optimal_probability, report.binding_index, "distill", True, 0,
                      deterministic=report.deterministic_possible)
         return
     if args.dst is None:
@@ -220,12 +210,12 @@ def cmd_transform(args):
     if src.dims != dst.dims:
         raise CliError("source and target layouts differ", EXIT_USAGE)
     report = vidal_probability(src, dst)
-    _emit_result(report.optimal_probability, report.binding_index, "vidal", True, args.seed,
+    _emit_result(report.optimal_probability, report.binding_index, "vidal", True, 0,
                  deterministic=bool(nielsen_transformable(src, dst)))
 
 
 def cmd_oracle(args):
-    _emit_result(oracle_gme(parse_spec_string(args.state), args.k), args.k, "oracle", True, args.seed)
+    _emit_result(oracle_gme(parse_spec_string(args.state), args.k), args.k, "oracle", True, 0)
 
 
 def cmd_haar(args):
@@ -294,7 +284,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subspace", default=None)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--relaxation", choices=("auto", *sdp.RELAXATIONS), default="auto")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("criteria", help="PPT / reduction eigenvalue criteria and witnesses")
@@ -308,13 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--to", dest="dst", default=None)
     p.add_argument("--distill", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_transform)
 
     p = sub.add_parser("oracle", help="closed-form values")
     p.add_argument("--state", required=True)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("haar", help="Monte Carlo sampling experiment")

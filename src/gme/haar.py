@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pure import _check_distill_target, distill_curve
+from .pure import _check_distill_target, distill_curve, schmidt_tail
 from .states import NORM_ATOL, StateError, _as_dims, check_seed
 from .zoo import haar_eg2_density_d4, haar_egd_density, haar_psucc_full_density
 
@@ -188,10 +188,7 @@ def haar_sample_spectra(dims, n_samples: int, seed: int) -> np.ndarray:
 
 def tail_measures(lam: np.ndarray, k_values) -> dict[int, np.ndarray]:
     """E^(k) = sum of the eigenvalues from position k on, per sample."""
-    out = {}
-    for k in k_values:
-        out[k] = np.clip(lam[:, k - 1 :].sum(axis=1), 0.0, None)
-    return out
+    return {k: schmidt_tail(lam, k) for k in k_values}
 
 
 def distill_success(lam: np.ndarray, m: int) -> np.ndarray:

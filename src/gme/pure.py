@@ -13,6 +13,7 @@ import numpy as np
 from .states import RANK_CUTOFF, DensityMatrix, PureState, StateError, schmidt_spectrum
 
 _SUM_ATOL = 1e-12
+_DETERMINISTIC_ATOL = 1e-10  # a conversion probability this close to 1 counts as deterministic
 
 
 @dataclass(frozen=True)
@@ -29,6 +30,11 @@ class TransformReport:
     binding_index: int
 
 
+def schmidt_tail(lam: np.ndarray, k: int) -> np.ndarray:
+    """E^(k): the sum of the non-increasing spectra ``lam`` from position k on, over the last axis."""
+    return np.clip(lam[..., k - 1 :].sum(axis=-1), 0.0, None)
+
+
 def k_gme_pure(psi: PureState, bipartition=(0,), k: int = 2) -> float:
     """Geometric measure of k-bounded Schmidt rank: the tail eigenvalue sum.
 
@@ -38,8 +44,7 @@ def k_gme_pure(psi: PureState, bipartition=(0,), k: int = 2) -> float:
         raise StateError(f"k must be >= 1, got {k}")
     if k == 1:
         return 1.0
-    lam = schmidt_spectrum(psi, bipartition)
-    return float(max(0.0, 1.0 - lam[: k - 1].sum()))
+    return float(schmidt_tail(schmidt_spectrum(psi, bipartition), k))
 
 
 def entanglement_entropy(psi: PureState, bipartition=(0,)) -> float:
@@ -125,17 +130,8 @@ def vidal_probability(psi: PureState, phi: PureState, bipartition=(0,)) -> Trans
         raise StateError("states must share one layout")
     lam_psi = schmidt_spectrum(psi, bipartition)
     lam_phi = schmidt_spectrum(phi, bipartition)
-    r = _schmidt_rank(lam_phi)
-    best, best_k = np.inf, 1
-    for k in range(1, r + 1):
-        if k == 1:
-            ratio = 1.0  # E^(1) = 1 on both sides by convention
-        else:
-            ratio = max(0.0, lam_psi[k - 1 :].sum()) / lam_phi[k - 1 :].sum()
-        if ratio < best:
-            best, best_k = ratio, k
-    p = float(min(1.0, best))
-    return TransformReport(p >= 1.0 - 1e-10, p, best_k)
+    ratios = [schmidt_tail(lam_psi, k) / schmidt_tail(lam_phi, k) for k in range(2, _schmidt_rank(lam_phi) + 1)]
+    return _least_ratio([1.0] + ratios)  # E^(1) = 1 on both sides by convention
 
 
 def distill_probability(psi: PureState, m: int, bipartition=(0,)) -> TransformReport:
@@ -144,9 +140,14 @@ def distill_probability(psi: PureState, m: int, bipartition=(0,)) -> TransformRe
     _check_distill_target(m, lam.size)
     curve = distill_curve(lam, m)
     curve[-1] = 1.0  # E^(1) = 1
-    best = int(np.argmin(curve))
-    p = float(min(1.0, curve[best]))
-    return TransformReport(p >= 1.0 - 1e-10, p, best + 1)
+    return _least_ratio(curve)
+
+
+def _least_ratio(ratios) -> TransformReport:
+    """The first smallest ratio, capped at 1, as a probability with its 1-based position."""
+    best = int(np.argmin(ratios))
+    p = float(min(1.0, ratios[best]))
+    return TransformReport(p >= 1.0 - _DETERMINISTIC_ATOL, p, best + 1)
 
 
 def _check_distill_target(m: int, d: int) -> None:
@@ -160,4 +161,4 @@ def _check_distill_target(m: int, d: int) -> None:
 def distill_curve(lam: np.ndarray, m: int) -> np.ndarray:
     """The sequence B_n = (m/n) * tail_(m-n+1) for n = 1..m over the last axis of spectra."""
     lam = -np.sort(-np.asarray(lam, dtype=float), axis=-1)
-    return np.stack([(m / n) * lam[..., m - n :].sum(axis=-1) for n in range(1, m + 1)], axis=-1)
+    return np.stack([(m / n) * schmidt_tail(lam, m - n + 1) for n in range(1, m + 1)], axis=-1)

@@ -514,7 +514,7 @@ def _reduction_links(dims, k, start=0) -> Links:
 
     def inverse(x):
         pi_x = np.zeros(x.shape, x.dtype)
-        _add_lifted(pi_x, dims, (1,), np.trace(x.reshape(tuple(dims) * 2), axis1=1, axis2=3) / d_b)
+        _add_lifted(pi_x, dims, (1,), _partial_trace_arr(x, dims, (1,))[0] / d_b)
         return (x - pi_x) / (1.0 + p * p) + pi_x / (1.0 + (d_b - p) ** 2)
 
     return Links(0, start, total_dim(dims), ((1, reduce, reduce),), inverse)

@@ -232,16 +232,25 @@ def partial_transpose(rho: DensityMatrix, party_set) -> np.ndarray:
     return _partial_transpose_arr(rho.matrix, rho.dims, party_set)
 
 
-def _schmidt_matrix(psi: PureState, bipartition):
-    """The amplitudes as a (K, complement) matrix; the complement must be non-empty."""
-    left = _check_parties(psi.dims, bipartition)
-    right = tuple(i for i in range(len(psi.dims)) if i not in left)
+def _bipartition(dims, left):
+    """The cut (left | rest), rest non-empty: the party order, left first, and the two side dimensions."""
+    left = _check_parties(dims, left)
+    right = tuple(i for i in range(len(dims)) if i not in left)
     if not right:
         raise StateError("bipartition must leave a non-empty complement")
-    reordered = permute_parties_vector(psi.amplitudes, psi.dims, left + right)
-    d_left = total_dim([psi.dims[i] for i in left])
-    d_right = total_dim([psi.dims[i] for i in right])
-    return reordered.reshape(d_left, d_right)
+    return left + right, (total_dim([dims[i] for i in left]), total_dim([dims[i] for i in right]))
+
+
+def _regroup(mat, dims, left):
+    """An operator regrouped into the two-party layout of the cut (left | rest), and that layout."""
+    order, sides = _bipartition(dims, left)
+    return permute_parties_matrix(mat, dims, order), sides
+
+
+def _schmidt_matrix(psi: PureState, bipartition):
+    """The amplitudes as a (K, complement) matrix; the complement must be non-empty."""
+    order, sides = _bipartition(psi.dims, bipartition)
+    return permute_parties_vector(psi.amplitudes, psi.dims, order).reshape(sides)
 
 
 def schmidt_decompose(psi: PureState, bipartition) -> SchmidtDecomposition:

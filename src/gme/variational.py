@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .optimizers import GmeEstimate, Objective, OptimizerConfig, minimize
+from .pure import schmidt_tail
 from .states import (
     DensityMatrix,
     PureState,
@@ -272,15 +273,17 @@ def roof_truncation_value(rho: DensityMatrix, k: int, x: np.ndarray) -> float:
     For each decomposition entry the optimal rank-(k-1) state is the truncated
     Schmidt expansion, so the entry contributes its tail singular-value mass.
     Cross-check oracle for the joint parameterization; non-smooth at spectral
-    degeneracies, hence not used as an optimizer path.
+    degeneracies, hence not used as an optimizer path.  Needs two parties.
     """
+    if len(rho.dims) != 2:
+        raise StateError(f"roof truncation needs a bipartite layout, got {rho.dims}")
     lam_tilde, rank = _rho_eigendata(rho)
     x = np.asarray(x, dtype=complex)
     if x.shape[1] != rank:
         raise StateError(f"Stiefel matrix must have {rank} columns")
     entries = (lam_tilde @ x.T).T.reshape(x.shape[0], *rho.dims)
     s = np.linalg.svd(entries, compute_uv=False)
-    return float((s[:, k - 1 :] ** 2).sum())
+    return float(schmidt_tail(s**2, k).sum())
 
 
 @dataclass(frozen=True)

@@ -27,8 +27,8 @@ from .states import (
     PureState,
     StateError,
     Subspace,
+    _regroup,
     complement_projector,
-    permute_parties_matrix,
     tensor_product,
 )
 
@@ -273,9 +273,9 @@ def huber_ppt_state(d: int) -> DensityMatrix:
     projk = np.outer(pk.amplitudes, pk.amplitudes.conj())
     r = tensor_product(np.eye(4) - proj2, np.eye(k * k) - projk)
     r = r + (k + 1.0) * tensor_product(proj2, projk)
-    # party order (A1, B1, A2, B2) -> (A1, A2, B1, B2), then merge to (d, d)
-    r = permute_parties_matrix(r, (2, 2, k, k), (0, 2, 1, 3))
-    return DensityMatrix(r / np.trace(r).real, (d, d))
+    # parties (A1, B1, A2, B2) cut as (A1 A2 | B1 B2)
+    r, dims = _regroup(r, (2, 2, k, k), (0, 2))
+    return DensityMatrix(r / np.trace(r).real, dims)
 
 
 def _check_dicke_mixture(n, k1, k2, r):
@@ -465,6 +465,7 @@ def canonical_subspace(spec: SubspaceSpec) -> Subspace:
 
 
 def isotropic_kgme(d: int, F: float, k: int) -> float:
+    _check_isotropic(d, F)
     if not 2 <= k <= d:
         raise StateError(f"isotropic k-GME needs 2 <= k <= d, got k={k}")
     if F <= (k - 1.0) / d:
@@ -474,6 +475,7 @@ def isotropic_kgme(d: int, F: float, k: int) -> float:
 
 
 def werner_gme(d: int, alpha: float) -> float:
+    _check_werner(d, alpha)
     if alpha <= 1.0 / d:
         return 0.0
     t = (d * alpha - 1.0) / (alpha - d)
@@ -488,6 +490,7 @@ def dicke_gme(n: int, m: int) -> float:
 
 
 def two_by_d_theta_gme(d: int, theta: float) -> float:
+    _check_two_by_d_theta(d, theta)
     s = math.sin(theta) * math.sin(math.pi / d)
     return 0.5 * (1.0 - math.sqrt(1.0 - s * s))
 

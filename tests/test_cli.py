@@ -178,6 +178,17 @@ def test_ansatz_terms_is_refused_where_nothing_reads_it(capsys, argv):
     assert code == 2 and out == "" and "--ansatz-terms" in err
 
 
+@pytest.mark.parametrize("argv", [("bound", "--state", "isotropic:d=2,F=0.9"), ("oracle", "--state", "bell"),
+                                  ("transform", "--from", "bell", "--distill", "2")],
+                         ids=["bound", "oracle", "transform"])
+def test_seed_is_refused_where_nothing_reads_it(capsys, argv):
+    """Deterministic subcommands take no --seed; their records print seed 0."""
+    code, out, err = run_cli(capsys, *argv, "--seed", "1")
+    assert code == 2 and out == "" and "unrecognized arguments: --seed 1" in err
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and _record(out)["seed"] == 0
+
+
 def test_ansatz_terms_below_the_rank_exits_2(capsys):
     code, out, err = run_cli(capsys, "mixed", "--state", "isotropic:d=3,F=0.7", "--k", "2", "--ansatz-terms", "2")
     assert code == 2 and out == "" and err.startswith("gme:") and "n_entries >= rank" in err

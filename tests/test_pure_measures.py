@@ -17,7 +17,7 @@ from gme.pure import (
     nielsen_transformable,
     vidal_probability,
 )
-from gme.haar import distill_success, haar_sample_spectra
+from gme.haar import distill_success, haar_sample_spectra, tail_measures
 from gme.states import PureState, StateError, schmidt_spectrum, tensor_product
 from gme.trivializations import complex_from_reals, polar
 from gme.zoo import bell_state, max_entangled, werner_state
@@ -59,6 +59,16 @@ def test_k_gme_known_tail():
     psi, _ = example_pair_332()
     assert abs(k_gme_pure(psi, (0,), 3) - 1 / 5) < 1e-12
     assert k_gme_pure(psi, (0,), 5) == 0.0
+
+
+def test_k_gme_is_the_one_schmidt_tail(rng):
+    """k_gme_pure and the Haar tail read E^(k) from one formula: equal bits, a tiny tail kept."""
+    states = [random_pure((4, 4), rng) for _ in range(1000)] + [_vec({0: 1.0, 3: 1e-10}, (2, 2))]
+    for psi in states:
+        lam = schmidt_spectrum(psi, (0,))
+        for k in range(2, lam.size + 1):
+            assert k_gme_pure(psi, (0,), k) == tail_measures(lam[None], [k])[k][0]
+    assert k_gme_pure(states[-1], (0,), 2) == pytest.approx(1e-20, rel=1e-12)
 
 
 def test_k_gme_monotone_in_k(rng):

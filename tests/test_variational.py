@@ -161,6 +161,12 @@ def test_roof_truncation_cross_check():
     assert abs(truncated - est.value) < 1e-5
 
 
+def test_roof_truncation_refuses_more_than_two_parties():
+    """Three parties have no single Schmidt cut; the W state's 5/9 is not a tail of 2 x 2 slices."""
+    with pytest.raises(StateError, match="bipartite"):
+        roof_truncation_value(w_state().to_density_matrix(), 2, np.ones((1, 1)))
+
+
 @pytest.mark.parametrize("k", [2, 3])
 def test_roof_truncation_matches_the_per_entry_loop(rng, k):
     """The batched SVD gives the per-entry sum of tail singular-value mass."""

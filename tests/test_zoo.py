@@ -45,9 +45,11 @@ from gme.zoo import (
     shifts_upb,
     swap_operator,
     tiles_upb,
+    two_by_d_theta_gme,
     two_by_d_theta_subspace,
     upb_tiles_state,
     w_state,
+    werner_gme,
     werner_state,
 )
 
@@ -242,6 +244,16 @@ def test_oracle_checks_parameters_without_building(monkeypatch):
     assert oracle_gme(parse_spec_string("isotropic:d=30,F=0.5"), 3) == isotropic_kgme(30, 0.5, 3)
     with pytest.raises(StateError, match="outside"):
         oracle_gme(parse_spec_string("isotropic:d=30,F=1.5"), 3)
+
+
+@pytest.mark.parametrize("closed_form, args", [
+    (werner_gme, (4, 2.0)),
+    (two_by_d_theta_gme, (3, 4.0)),
+    (isotropic_kgme, (3, 1.5, 2)),
+], ids=["werner", "two_by_d_theta", "isotropic"])
+def test_closed_forms_refuse_what_their_families_refuse(closed_form, args):
+    with pytest.raises(StateError, match="outside"):
+        closed_form(*args)
 
 
 def test_isotropic_oracle_monotone_and_continuous():

@@ -168,6 +168,7 @@ def cmd_criteria(args):
         obj = obj.to_density_matrix()
     if not isinstance(obj, DensityMatrix):
         raise CliError("subcommand 'criteria' needs a state", EXIT_USAGE)
+    config = _optimizer_config(args)
     ppt = sdp.ppt_min_eig(obj, (0,))
     red = sdp.reduction_min_eig(obj, (1,), args.k)
     record = {
@@ -184,7 +185,7 @@ def cmd_criteria(args):
         if not isinstance(ref, PureState):
             raise CliError("--witness-from needs a pure state", EXIT_USAGE)
         try:
-            wit = sdp.witness_from_pure(ref, _optimizer_config(args))
+            wit = sdp.witness_from_pure(ref, config)
         except StateError as exc:
             raise CliError(str(exc), EXIT_NUMERIC) from exc
         record["witness_threshold"] = wit.threshold

@@ -17,8 +17,11 @@ assigned.  Every call compares its first derived state with
 of drawing different samples.
 
 ``haar_experiment`` runs its chunks on the CPUs in the process's affinity
-mask, one forked worker per CPU, and writes their rows in chunk order: the
-outputs do not depend on how many CPUs run them.
+mask, one forked worker per CPU.  Each chunk writes its own CSV rows to a part
+file and hands back only the part's path and its histogram counts; the parent
+appends the parts in chunk order and sums the counts as integers, so the
+outputs do not depend on how many CPUs run them and no sample text passes
+through the parent.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ import csv
 import functools
 import operator
 import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +43,9 @@ from .states import NORM_ATOL, StateError, _as_dims, check_seed
 from .zoo import haar_eg2_density_d4, haar_egd_density, haar_psucc_full_density
 
 
-CHUNK = 8192  # samples held in memory at once; the outputs do not depend on it
+# samples per chunk: a worker holds one chunk's spectra and CSV text at a time,
+# and the outputs do not depend on it
+CHUNK = 8192
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's
 # 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h)
@@ -237,24 +244,32 @@ def _available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _chunk_rows(dims, seed, k_values, m_values, edges, start, stop):
-    """CSV text of samples start, ..., stop - 1 and their histogram counts, one array per column."""
+def _chunk_rows(parts_dir, dims, seed, k_values, m_values, edges, start, stop):
+    """Write the CSV rows of samples start, ..., stop - 1 to a part file under ``parts_dir``.
+
+    Returns the part's path and the samples' histogram counts, one array per column.
+    """
     lam = haar_sample_spectra(dims, stop - start, seed + start)
     measures = tail_measures(lam, k_values)
     columns = [measures[k] for k in k_values] + [distill_success(lam, m) for m in m_values]
     counts = [np.histogram(col, bins=e)[0] for col, e in zip(columns, edges)]
     text = map(",".join, zip(map(str, range(start, stop)), *(map(repr, col.tolist()) for col in columns)))
-    return "\n".join(text) + "\n", counts
+    path = os.path.join(parts_dir, f"{start}.csv")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(text) + "\n")
+    return path, counts
 
 
 def _map_chunks(work, starts, stops):
     """Yield ``work(start, stop)`` per chunk, in chunk order, over a pool of forked workers.
 
     One worker per available CPU, never more than there are chunks, and at most
-    two chunks per worker in flight.  With one worker, or where the platform
-    cannot fork, the chunks run in this process.  A worker's exception is
-    raised here with its own type; closing the generator cancels the pending
-    chunks and joins every worker.
+    two chunks per worker in flight.  Each result passes through the pool's
+    result thread, so ``work`` should return little: ``haar_experiment``'s
+    workers return a part file's path and a few counts, not rows.  With one
+    worker, or where the platform cannot fork, the chunks run in this process.
+    A worker's exception is raised here with its own type; closing the
+    generator cancels the pending chunks and joins every worker.
     """
     workers = min(_available_cpus(), len(starts))
     if workers > 1:
@@ -285,10 +300,13 @@ def haar_experiment(config: ExperimentConfig) -> tuple[str, str]:
     """Run the sampling experiment; returns (samples_csv, histogram_csv) paths.
 
     Samples stream through chunks of ``CHUNK``, which run on the CPUs in the
-    process's affinity mask (see ``_map_chunks``).  The rows are written in
-    chunk order and the histogram counts summed as integers, so the outputs do
-    not depend on how many CPUs run the chunks, and memory does not grow with
-    ``n_samples``.
+    process's affinity mask (see ``_map_chunks``).  Each chunk writes its own
+    rows to a part file in a temporary directory under ``out_dir``; this
+    process writes the header, appends the parts in chunk order and sums the
+    histogram counts as integers.  So the outputs do not depend on how many
+    CPUs run the chunks, no sample text passes through this process, and
+    memory does not grow with ``n_samples``.  The part directory is removed on
+    every exit, errors included.
     """
     dims = tuple(config.dims)
     k_values = tuple(config.k_values) or tuple(range(2, min(dims) + 1))
@@ -296,7 +314,6 @@ def haar_experiment(config: ExperimentConfig) -> tuple[str, str]:
     specs = _histogram_specs(dims, k_values, m_values)
     edges = [np.linspace(0.0, hi, config.n_bins + 1) for _, hi, _ in specs]
     counts = [np.zeros(config.n_bins, dtype=np.int64) for _ in specs]
-    work = functools.partial(_chunk_rows, dims, config.seed, k_values, m_values, edges)
     starts = range(0, config.n_samples, CHUNK)
     stops = [min(start + CHUNK, config.n_samples) for start in starts]
 
@@ -305,14 +322,16 @@ def haar_experiment(config: ExperimentConfig) -> tuple[str, str]:
     hist_path = os.path.join(config.out_dir, "histogram.csv")
 
     header = ["sample_index"] + [name for name, _, _ in specs]
-    with open(samples_path, "w", encoding="utf-8", newline="\n") as fh, contextlib.closing(
-        _map_chunks(work, starts, stops)
-    ) as chunks:
-        fh.write(",".join(header) + "\n")
-        for text, chunk_counts in chunks:
-            fh.write(text)
-            for c, chunk_c in zip(counts, chunk_counts):
-                c += chunk_c
+    with tempfile.TemporaryDirectory(prefix=".parts-", dir=config.out_dir) as parts_dir:
+        work = functools.partial(_chunk_rows, parts_dir, dims, config.seed, k_values, m_values, edges)
+        # closing the chunks joins every worker before the part directory is removed
+        with open(samples_path, "wb") as fh, contextlib.closing(_map_chunks(work, starts, stops)) as chunks:
+            fh.write((",".join(header) + "\n").encode("utf-8"))
+            for part_path, chunk_counts in chunks:
+                with open(part_path, "rb") as part:
+                    shutil.copyfileobj(part, fh)
+                for c, chunk_c in zip(counts, chunk_counts):
+                    c += chunk_c
 
     with open(hist_path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")

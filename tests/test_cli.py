@@ -170,6 +170,14 @@ def test_bad_optimizer_budget_or_tolerance_exits_2(capsys, flags):
     assert code == 2 and out == "" and err.startswith("gme:")
 
 
+@pytest.mark.parametrize("flags", [("--seed", "-1"), ("--restarts", "-5"), ("--max-iterations", "0"), ("--tol", "nan")])
+def test_criteria_validates_optimizer_flags_like_pure(capsys, flags):
+    """``criteria`` refuses a bad optimizer flag with or without --witness-from, as ``pure`` does."""
+    _, _, pure_err = run_cli(capsys, "pure", "--state", "ghz", "--k", "2", *flags)
+    code, out, err = run_cli(capsys, "criteria", "--state", "bell", *flags)
+    assert code == 2 and out == "" and err == pure_err and err.startswith("gme:")
+
+
 @pytest.mark.parametrize("argv", [("pure", "--state", "ghz"), ("subspace", "--subspace", "ghz"),
                                   ("criteria", "--state", "bell")], ids=["pure", "subspace", "criteria"])
 def test_ansatz_terms_is_refused_where_nothing_reads_it(capsys, argv):

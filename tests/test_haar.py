@@ -150,6 +150,7 @@ def test_pool_writes_the_same_bytes(tmp_path, monkeypatch, pool_reference, worke
     monkeypatch.setattr(haar, "_available_cpus", lambda: workers)
     got = haar_experiment(ExperimentConfig(out_dir=str(tmp_path), **POOL_RUN))
     _same_bytes(pool_reference, got)
+    assert sorted(os.listdir(tmp_path)) == ["histogram.csv", "samples.csv"]
 
 
 def test_pool_leaves_no_child(tmp_path, monkeypatch):
@@ -165,18 +166,35 @@ def test_pool_leaves_no_child(tmp_path, monkeypatch):
 
 
 def test_worker_error_exits_2_and_leaves_no_child(tmp_path, monkeypatch, capsys):
-    """A StateError raised in a worker reaches the CLI with its type, and the pool is torn down."""
+    """A StateError raised in a worker reaches the CLI with its type, and the pool and the parts are gone.
 
-    def check(in_parent):
-        if not in_parent:
+    The last chunk fails, after the earlier ones have written their part files.
+    """
+    parent, real = os.getpid(), haar.haar_sample_spectra
+
+    def haar_sample_spectra(dims, n_samples, seed):
+        if os.getpid() != parent and seed == 4 * CHUNK:
             raise StateError("refused in a worker")
+        return real(dims, n_samples, seed)
 
     monkeypatch.setattr(haar, "_available_cpus", lambda: 2)
-    _watch_chunks(monkeypatch, check)
+    monkeypatch.setattr(haar, "haar_sample_spectra", haar_sample_spectra)
     code = main(["haar", "--dims", "4,4", "--samples", str(5 * CHUNK), "--out", str(tmp_path)])
     assert code == 2
     assert "refused in a worker" in capsys.readouterr().err
     assert multiprocessing.active_children() == []
+    assert set(os.listdir(tmp_path)) <= {"samples.csv", "histogram.csv"}
+
+
+def test_unwritable_out_exits_2_and_creates_nothing(tmp_path, capsys):
+    """An --out that is a regular file is a usage error: no output, no part directory, no child."""
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    code = main(["haar", "--samples", "5", "--out", str(taken)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("gme: cannot write outputs")
+    assert multiprocessing.active_children() == []
+    assert os.listdir(tmp_path) == ["taken"] and taken.read_text() == "kept\n"
 
 
 def test_import_loads_no_pool():

@@ -305,8 +305,10 @@ def haar_experiment(config: ExperimentConfig) -> tuple[str, str]:
     process writes the header, appends the parts in chunk order and sums the
     histogram counts as integers.  So the outputs do not depend on how many
     CPUs run the chunks, no sample text passes through this process, and
-    memory does not grow with ``n_samples``.  The part directory is removed on
-    every exit, errors included.
+    memory does not grow with ``n_samples``.  Both CSVs are written in the
+    part directory and moved into ``out_dir`` only once the histogram is
+    written, so a run that fails leaves any earlier outputs there as they
+    were.  The part directory is removed on every exit, errors included.
     """
     dims = tuple(config.dims)
     k_values = tuple(config.k_values) or tuple(range(2, min(dims) + 1))
@@ -318,14 +320,14 @@ def haar_experiment(config: ExperimentConfig) -> tuple[str, str]:
     stops = [min(start + CHUNK, config.n_samples) for start in starts]
 
     os.makedirs(config.out_dir, exist_ok=True)
-    samples_path = os.path.join(config.out_dir, "samples.csv")
-    hist_path = os.path.join(config.out_dir, "histogram.csv")
+    names = ("samples.csv", "histogram.csv")
 
     header = ["sample_index"] + [name for name, _, _ in specs]
     with tempfile.TemporaryDirectory(prefix=".parts-", dir=config.out_dir) as parts_dir:
+        samples_part, hist_part = (os.path.join(parts_dir, name) for name in names)
         work = functools.partial(_chunk_rows, parts_dir, dims, config.seed, k_values, m_values, edges)
         # closing the chunks joins every worker before the part directory is removed
-        with open(samples_path, "wb") as fh, contextlib.closing(_map_chunks(work, starts, stops)) as chunks:
+        with open(samples_part, "wb") as fh, contextlib.closing(_map_chunks(work, starts, stops)) as chunks:
             fh.write((",".join(header) + "\n").encode("utf-8"))
             for part_path, chunk_counts in chunks:
                 with open(part_path, "rb") as part:
@@ -333,9 +335,11 @@ def haar_experiment(config: ExperimentConfig) -> tuple[str, str]:
                 for c, chunk_c in zip(counts, chunk_counts):
                     c += chunk_c
 
-    with open(hist_path, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["quantity", "bin_left", "bin_right", "empirical_density", "analytic_density"])
-        for (name, _, analytic), e, c in zip(specs, edges, counts):
-            writer.writerows(_histogram_rows(name, c, config.n_samples, e, analytic))
-    return samples_path, hist_path
+        with open(hist_part, "w", encoding="utf-8", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["quantity", "bin_left", "bin_right", "empirical_density", "analytic_density"])
+            for (name, _, analytic), e, c in zip(specs, edges, counts):
+                writer.writerows(_histogram_rows(name, c, config.n_samples, e, analytic))
+        for name in names:
+            os.replace(os.path.join(parts_dir, name), os.path.join(config.out_dir, name))
+    return tuple(os.path.join(config.out_dir, name) for name in names)

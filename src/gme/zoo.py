@@ -6,10 +6,10 @@ their complements, one-parameter families with known k-GME values, and the
 eigenvalue statistics of Haar-random bipartite states.
 
 ``FAMILIES`` maps each spec name to its constructor; the constructor's
-annotated signature is the family's parameter list and kind.  A constructor
-whose parameters have a rule runs its ``check`` before building anything, and
-keeps it as ``constructor.check`` so that the rule can be tested without the
-cost of building the state.
+annotated signature is the family's parameter list and kind.  A family whose
+parameters have a rule states it once, in its ``_check_*``; the constructor and
+the closed form each call it first, so a closed form refuses what its family
+refuses without the cost of building the state.
 """
 
 from __future__ import annotations
@@ -49,36 +49,18 @@ class SubspaceSpec:
     params: dict = field(default_factory=dict)
 
 
-def _basis_vec(d, i):
-    v = np.zeros(d, dtype=complex)
-    v[i] = 1.0
-    return v
+def _product(*factors):
+    """The product vector of the factors, the first party's index varying slowest."""
+    return functools.reduce(np.kron, factors)
 
 
 def _ket(*indices, dims):
-    v = np.ones(1, dtype=complex)
-    for i, d in zip(indices, dims):
-        v = np.kron(v, _basis_vec(d, i))
-    return v
+    return _product(*(np.eye(d, dtype=complex)[i] for i, d in zip(indices, dims)))
 
 
-def _checked_by(check):
-    """Run ``check`` on a constructor's arguments before the constructor builds anything.
-
-    ``check`` takes the constructor's parameters and raises ``StateError`` for
-    values the family refuses; the constructor keeps it as ``.check``.
-    """
-
-    def decorate(constructor):
-        @functools.wraps(constructor)
-        def construct(*args, **kwargs):
-            check(*args, **kwargs)
-            return constructor(*args, **kwargs)
-
-        construct.check = check
-        return construct
-
-    return decorate
+# the qubit basis and its Hadamard rotation, shared by the three-qubit UPBs
+_ZERO, _ONE = np.eye(2, dtype=complex)
+_PLUS, _MINUS = (_ZERO + _ONE) / math.sqrt(2), (_ZERO - _ONE) / math.sqrt(2)
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +72,8 @@ def _check_max_entangled(d):
         raise StateError("maximally entangled state needs d >= 2")
 
 
-@_checked_by(_check_max_entangled)
 def max_entangled(d: int) -> PureState:
+    _check_max_entangled(d)
     amps = np.zeros(d * d, dtype=complex)
     amps[:: d + 1] = 1.0 / math.sqrt(d)
     return PureState(amps, (d, d))
@@ -120,9 +102,9 @@ def _check_dicke(n, m):
         raise StateError(f"need 0 <= m <= n, got n={n}, m={m}")
 
 
-@_checked_by(_check_dicke)
 def dicke_state(n: int, m: int) -> PureState:
     """Equal superposition of all n-qubit basis states with m excitations."""
+    _check_dicke(n, m)
     amps = np.zeros(2**n, dtype=complex)
     for idx in range(2**n):
         if bin(idx).count("1") == m:
@@ -142,8 +124,8 @@ def _check_isotropic(d, F):
         raise StateError(f"fidelity parameter F={F} outside [0, 1]")
 
 
-@_checked_by(_check_isotropic)
 def isotropic_state(d: int, F: float) -> DensityMatrix:
+    _check_isotropic(d, F)
     phi = max_entangled(d)
     proj = np.outer(phi.amplitudes, phi.amplitudes.conj())
     mat = (1.0 - F) / (d * d - 1.0) * (np.eye(d * d) - proj) + F * proj
@@ -165,9 +147,9 @@ def _check_werner(d, alpha):
         raise StateError(f"alpha={alpha} outside [-1, 1]")
 
 
-@_checked_by(_check_werner)
 def werner_state(d: int, alpha: float) -> DensityMatrix:
     """Werner family built on the swap operator sum_ij |i,j><j,i|."""
+    _check_werner(d, alpha)
     denom = d * d - d * alpha
     mat = (np.eye(d * d) - alpha * swap_operator(d)) / denom
     return DensityMatrix(mat, (d, d))
@@ -178,9 +160,9 @@ def _check_horodecki(a):
         raise StateError(f"parameter a={a} outside [0, 1]")
 
 
-@_checked_by(_check_horodecki)
 def horodecki_state(a: float) -> DensityMatrix:
     """The 3x3 PPT-entangled one-parameter family, a in [0, 1]."""
+    _check_horodecki(a)
     b = (1.0 + a) / 2.0
     c = math.sqrt(max(0.0, 1.0 - a * a)) / 2.0
     m = np.zeros((9, 9))
@@ -197,47 +179,28 @@ def horodecki_state(a: float) -> DensityMatrix:
 
 def tiles_upb() -> list[PureState]:
     """Five-state tiles UPB in 3x3."""
-    d = (3, 3)
-    e = [_basis_vec(3, i) for i in range(3)]
+    e = np.eye(3, dtype=complex)
     s2 = 1.0 / math.sqrt(2)
     vecs = [
-        s2 * np.kron(e[0], e[0] - e[1]),
-        s2 * np.kron(e[2], e[1] - e[2]),
-        s2 * np.kron(e[0] - e[1], e[2]),
-        s2 * np.kron(e[1] - e[2], e[0]),
-        np.kron(e[0] + e[1] + e[2], e[0] + e[1] + e[2]) / 3.0,
+        s2 * _product(e[0], e[0] - e[1]),
+        s2 * _product(e[2], e[1] - e[2]),
+        s2 * _product(e[0] - e[1], e[2]),
+        s2 * _product(e[1] - e[2], e[0]),
+        _product(e[0] + e[1] + e[2], e[0] + e[1] + e[2]) / 3.0,
     ]
-    return [PureState(v, d) for v in vecs]
+    return [PureState(v, (3, 3)) for v in vecs]
 
 
 def shifts_upb() -> list[PureState]:
     """Four-state three-qubit UPB {|000>, |1+->, |-1+>, |+-1>}."""
-    zero, one = _basis_vec(2, 0), _basis_vec(2, 1)
-    plus = (zero + one) / math.sqrt(2)
-    minus = (zero - one) / math.sqrt(2)
-    d = (2, 2, 2)
-    vecs = [
-        np.kron(np.kron(zero, zero), zero),
-        np.kron(np.kron(one, plus), minus),
-        np.kron(np.kron(minus, one), plus),
-        np.kron(np.kron(plus, minus), one),
-    ]
-    return [PureState(v, d) for v in vecs]
+    factors = [(_ZERO, _ZERO, _ZERO), (_ONE, _PLUS, _MINUS), (_MINUS, _ONE, _PLUS), (_PLUS, _MINUS, _ONE)]
+    return [PureState(_product(*f), (2, 2, 2)) for f in factors]
 
 
 def _mixed_state_upb() -> list[PureState]:
     """Three-qubit UPB behind the biseparable-but-not-fully-separable mixture."""
-    zero, one = _basis_vec(2, 0), _basis_vec(2, 1)
-    plus = (zero + one) / math.sqrt(2)
-    minus = (zero - one) / math.sqrt(2)
-    d = (2, 2, 2)
-    vecs = [
-        np.kron(np.kron(zero, one), plus),
-        np.kron(np.kron(one, plus), zero),
-        np.kron(np.kron(plus, zero), one),
-        np.kron(np.kron(minus, minus), minus),
-    ]
-    return [PureState(v, d) for v in vecs]
+    factors = [(_ZERO, _ONE, _PLUS), (_ONE, _PLUS, _ZERO), (_PLUS, _ZERO, _ONE), (_MINUS, _MINUS, _MINUS)]
+    return [PureState(_product(*f), (2, 2, 2)) for f in factors]
 
 
 def upb_complement_state(upb: list[PureState]) -> DensityMatrix:
@@ -259,13 +222,13 @@ def _check_huber_ppt(d):
         raise StateError("huber_ppt needs even d >= 4")
 
 
-@_checked_by(_check_huber_ppt)
 def huber_ppt_state(d: int) -> DensityMatrix:
     """PPT family on d (x) d, d even >= 4, with Schmidt number >= ceil(d/4).
 
     Built from maximally entangled projectors on the 2x2 and (d/2)x(d/2)
     layers; the (A1 A2)|(B1 B2) regrouping makes it a d (x) d bipartite state.
     """
+    _check_huber_ppt(d)
     k = d // 2
     p2 = max_entangled(2)
     pk = max_entangled(k)
@@ -287,8 +250,8 @@ def _check_dicke_mixture(n, k1, k2, r):
     _check_dicke(n, k2)
 
 
-@_checked_by(_check_dicke_mixture)
 def dicke_mixture_state(n: int, k1: int, k2: int, r: float) -> DensityMatrix:
+    _check_dicke_mixture(n, k1, k2, r)
     a = dicke_state(n, k1).amplitudes
     b = dicke_state(n, k2).amplitudes
     mat = r * np.outer(a, a.conj()) + (1.0 - r) * np.outer(b, b.conj())
@@ -299,7 +262,7 @@ def dicke_mixture_state(n: int, k1: int, k2: int, r: float) -> DensityMatrix:
 # canonical subspaces
 
 
-def _check_two_by_d_theta(d, theta, xi=0.0):
+def _check_two_by_d_theta(d, theta, xi):
     if d < 2:
         raise StateError("two_by_d_theta needs d >= 2")
     if not 0.0 < theta < math.pi:
@@ -308,9 +271,9 @@ def _check_two_by_d_theta(d, theta, xi=0.0):
         raise StateError(f"xi={xi} outside [0, 2*pi)")
 
 
-@_checked_by(_check_two_by_d_theta)
 def two_by_d_theta_subspace(d: int, theta: float, xi: float = 0.0) -> Subspace:
     """The (d-1)-dimensional entangled subspace of a 2 (x) d system."""
+    _check_two_by_d_theta(d, theta, xi)
     a = math.cos(theta / 2.0)
     b = np.exp(1j * xi) * math.sin(theta / 2.0)
     dims = (2, d)
@@ -336,13 +299,13 @@ def _check_bhat(d1, d2, d3):
         raise StateError("bhat subspace needs all local dimensions >= 2")
 
 
-@_checked_by(_check_bhat)
 def bhat_subspace(d1: int, d2: int, d3: int) -> Subspace:
     """Maximal completely entangled subspace of d1 (x) d2 (x) d3.
 
     Spanned by differences of equal-weight basis states; its dimension is
     d1 d2 d3 - d1 - d2 - d3 + 2.
     """
+    _check_bhat(d1, d2, d3)
     dims = (d1, d2, d3)
     by_weight: dict[int, list[tuple[int, int, int]]] = {}
     for i in range(d1):
@@ -489,41 +452,10 @@ def dicke_gme(n: int, m: int) -> float:
     return 1.0 - math.comb(n, m) * (m / n) ** m * ((n - m) / n) ** (n - m)
 
 
-def two_by_d_theta_gme(d: int, theta: float) -> float:
-    _check_two_by_d_theta(d, theta)
+def two_by_d_theta_gme(d: int, theta: float, xi: float = 0.0) -> float:
+    _check_two_by_d_theta(d, theta, xi)
     s = math.sin(theta) * math.sin(math.pi / d)
     return 0.5 * (1.0 - math.sqrt(1.0 - s * s))
-
-
-def oracle_gme(spec, k: int) -> float:
-    """Closed-form k-GME for the supported (family, k) pairs.
-
-    The parameters go through the family's ``check`` first, the rule its
-    constructor applies, without building the state.
-    """
-    name, p = spec.name, _family_args(spec)
-    check = getattr(FAMILIES[name], "check", None)
-    if check is not None:
-        check(**p)
-    if name == "isotropic":
-        return isotropic_kgme(p["d"], p["F"], k)
-    if k != 2:
-        raise StateError(f"no closed form for {name!r} with k={k}")
-    if name == "werner":
-        return werner_gme(p["d"], p["alpha"])
-    if name == "dicke":
-        return dicke_gme(p["n"], p["m"])
-    if name == "two_by_d_theta":
-        return two_by_d_theta_gme(p["d"], p["theta"])
-    if name == "dicke_mixture":
-        return dicke_mixture_gme(p["n"], p["k1"], p["k2"], p["r"])
-    if name == "ghz":
-        return 0.5
-    if name in ("w", "w_tilde"):
-        return 5.0 / 9.0
-    if name in ("bell", "max_entangled"):
-        return isotropic_kgme(p.get("d", 2), 1.0, 2)
-    raise StateError(f"no closed-form oracle for {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -607,6 +539,43 @@ def dicke_mixture_gme(n: int, k1: int, k2: int, r: float) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the oracle: each family's k = 2 closed form, called with its parameters
+
+
+_GME_CLOSED_FORMS = {
+    "werner": werner_gme,
+    "dicke": dicke_gme,
+    "two_by_d_theta": two_by_d_theta_gme,
+    "dicke_mixture": dicke_mixture_gme,
+    "ghz": lambda: 0.5,
+    "w": lambda: 5.0 / 9.0,
+    "w_tilde": lambda: 5.0 / 9.0,
+}
+
+
+def oracle_gme(spec, k: int) -> float:
+    """Closed-form k-GME for the supported (family, k) pairs.
+
+    Isotropic states, and the maximally entangled states as their F = 1 end,
+    are answered at every k from 2 to d; the other closed forms are the k = 2
+    measure.  Each closed form checks its family's parameters first, by the
+    rule the constructor applies, without building the state.
+    """
+    name, p = spec.name, _family_args(spec)
+    if name == "isotropic":
+        return isotropic_kgme(p["d"], p["F"], k)
+    if name in ("bell", "max_entangled"):
+        d = p.get("d", 2)
+        _check_max_entangled(d)
+        return isotropic_kgme(d, 1.0, k)
+    if k != 2:
+        raise StateError(f"no closed form for {name!r} with k={k}")
+    if name not in _GME_CLOSED_FORMS:
+        raise StateError(f"no closed-form oracle for {name!r}")
+    return _GME_CLOSED_FORMS[name](**p)
+
+
+# ---------------------------------------------------------------------------
 # Haar-random eigenvalue statistics
 
 
@@ -640,26 +609,23 @@ def haar_psucc_full_density(d: int, x) -> np.ndarray | float:
     return out if out.ndim else float(out)
 
 
-def _a_poly_44(j: int, x):
-    """The degree-14 polynomial factors entering the 4x4 eigenvalue marginals."""
-    x = np.asarray(x, dtype=float)
-    if j == 4:
-        return 60.0 * (1.0 - 4.0 * x) ** 14
-    if j == 3:
-        coeffs = [67812.0, -70160.0, 29818.0, -6128.0, 1308.0, -96.0, 3.0]
-        return 60.0 * (1.0 - 3.0 * x) ** 8 * np.polyval(coeffs, x)
-    if j == 2:
-        coeffs = [5517256.0, -5570528.0, 2706592.0, -859040.0, 229936.0, -45920.0, 5208.0, -264.0, 6.0]
-        return 30.0 * (1.0 - 2.0 * x) ** 6 * np.polyval(coeffs, x)
-    if j == 1:
-        coeffs = [73116.0, -94128.0, 44934.0, -9904.0, 1044.0, -48.0, 1.0]
-        return 60.0 * (1.0 - x) ** 8 * np.polyval(coeffs, x)
-    raise StateError(f"invalid polynomial index {j}")
+# the degree-14 polynomial factors of the 4x4 eigenvalue marginals,
+# a_j(x) = scale (1 - j x)^power polyval(coefficients, x), as j: (scale, power, coefficients)
+_A_POLYS_44 = {
+    4: (60.0, 14, [1.0]),
+    3: (60.0, 8, [67812.0, -70160.0, 29818.0, -6128.0, 1308.0, -96.0, 3.0]),
+    2: (30.0, 6, [5517256.0, -5570528.0, 2706592.0, -859040.0, 229936.0, -45920.0, 5208.0, -264.0, 6.0]),
+    1: (60.0, 8, [73116.0, -94128.0, 44934.0, -9904.0, 1044.0, -48.0, 1.0]),
+}
 
-
-def _step(cond):
-    return np.where(cond, 1.0, 0.0)
-
+# the raw marginal of the i-th largest eigenvalue is the sum over j = 4, 3, 2, 1
+# of w_ij a_j(x) on 0 <= x <= 1/j, as i: ((j, w_ij), ...)
+_D4_MARGINAL_WEIGHTS = {
+    1: ((4, -1.0), (3, 1.0), (2, -1.0), (1, 1.0)),
+    2: ((4, 3.0), (3, -2.0), (2, 1.0)),
+    3: ((4, -3.0), (3, 1.0)),
+    4: ((4, 1.0),),
+}
 
 # integrate.quad(lambda t: _haar_eigmarginal_d4_raw(i, t), 0, 1, limit=400)[0] for each i
 _D4_MARGINAL_NORMS = {1: 0.9999999999794192, 2: 1.000000000041167,
@@ -668,19 +634,12 @@ _D4_MARGINAL_NORMS = {1: 0.9999999999794192, 2: 1.000000000041167,
 
 def _haar_eigmarginal_d4_raw(i: int, x):
     x = np.asarray(x, dtype=float)
-    a = {j: _a_poly_44(j, x) for j in (1, 2, 3, 4)}
-    t = {j: _step((x >= 0.0) & (j * x <= 1.0)) for j in (1, 2, 3, 4)}
-    if i == 1:
-        val = -a[4] * t[4] + a[3] * t[3] - a[2] * t[2] + a[1] * t[1]
-    elif i == 2:
-        val = 3.0 * a[4] * t[4] - 2.0 * a[3] * t[3] + a[2] * t[2]
-    elif i == 3:
-        val = -3.0 * a[4] * t[4] + a[3] * t[3]
-    elif i == 4:
-        val = a[4] * t[4]
-    else:
-        raise StateError(f"eigenvalue index i={i} outside 1..4")
-    return np.clip(val, 0.0, None)
+    terms = []
+    for j, weight in _D4_MARGINAL_WEIGHTS[i]:
+        scale, power, coeffs = _A_POLYS_44[j]
+        a_j = scale * (1.0 - j * x) ** power * np.polyval(coeffs, x)
+        terms.append(weight * a_j * ((x >= 0.0) & (j * x <= 1.0)))
+    return np.clip(functools.reduce(np.add, terms), 0.0, None)
 
 
 def haar_eigmarginal_d4(i: int, x) -> np.ndarray | float:

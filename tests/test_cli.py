@@ -10,9 +10,10 @@ import pytest
 from gme import sdp
 from gme.cli import _optimizer_config, _parse_partition, build_parser, main
 from gme.optimizers import OptimizerConfig
+from gme.pure import k_gme_pure
 from gme.serialize import save_state
 from gme.states import PureState
-from gme.zoo import bell_state, dicke_mixture_gme
+from gme.zoo import FAMILIES, bell_state, dicke_mixture_gme, isotropic_kgme, max_entangled
 
 
 def run_cli(capsys, *argv):
@@ -56,11 +57,65 @@ def test_oracle_dicke_mixture_honours_k(capsys):
         "two_by_d_theta:d=3,theta=7",
         "max_entangled:d=1",
         "werner:d=1,alpha=0.5",
+        "two_by_d_theta:d=3,theta=1.0,xi=7",
+        "dicke:n=2,m=3",
+        "dicke_mixture:n=3,k1=1,k2=1,r=0.5",
     ],
 )
 def test_oracle_refuses_parameters_its_family_refuses(capsys, state):
     code, out, err = run_cli(capsys, "oracle", "--state", state)
     assert code == 2 and out == "" and err.startswith("gme:")
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_oracle_answers_max_entangled_at_every_k_up_to_d(capsys, d):
+    """max_entangled(d) is isotropic(d, F = 1), so the oracle answers it at every k its closed form covers."""
+    psi = max_entangled(d)
+    for k in range(2, d + 1):
+        code, out, _ = run_cli(capsys, "oracle", "--state", f"max_entangled:d={d}", "--k", str(k))
+        value = _record(out)["value"]
+        assert code == 0 and value == isotropic_kgme(d, 1.0, k)
+        assert abs(value - k_gme_pure(psi, (0,), k)) <= 1e-15
+    code, out, err = run_cli(capsys, "oracle", "--state", f"max_entangled:d={d}", "--k", str(d + 1))
+    assert code == 2 and out == "" and err.startswith("gme:")
+
+
+# one valid spec per family
+ORACLE_SPECS = {
+    "bell": "bell",
+    "ghz": "ghz",
+    "w": "w",
+    "w_tilde": "w_tilde",
+    "max_entangled": "max_entangled:d=4",
+    "dicke": "dicke:n=4,m=2",
+    "isotropic": "isotropic:d=4,F=0.7",
+    "werner": "werner:d=3,alpha=0.5",
+    "horodecki": "horodecki:a=0.3",
+    "upb_tiles_state": "upb_tiles_state",
+    "upb_shifts_state": "upb_shifts_state",
+    "huber_ppt": "huber_ppt:d=4",
+    "dicke_mixture": "dicke_mixture:n=3,k1=1,k2=2,r=0.3",
+    "two_by_d_theta": "two_by_d_theta:d=3,theta=1.2,xi=0.5",
+    "johnston_4x4": "johnston_4x4",
+    "bhat": "bhat:d1=2,d2=2,d3=3",
+    "tiles_complement": "tiles_complement",
+    "shifts_complement": "shifts_complement",
+}
+
+
+def test_oracle_specs_name_every_family():
+    assert set(ORACLE_SPECS) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(ORACLE_SPECS))
+def test_oracle_answers_or_refuses_every_family(capsys, name, k):
+    """Each family gets a value in [0, 1] or a usage error; nothing raises out of main."""
+    code, out, err = run_cli(capsys, "oracle", "--state", ORACLE_SPECS[name], "--k", str(k))
+    if code == 0:
+        assert 0.0 <= _record(out)["value"] <= 1.0
+    else:
+        assert code == 2 and out == "" and err.startswith("gme:")
 
 
 def test_transform_example_pair(capsys, tmp_path):

@@ -186,6 +186,25 @@ def test_worker_error_exits_2_and_leaves_no_child(tmp_path, monkeypatch, capsys)
     assert set(os.listdir(tmp_path)) <= {"samples.csv", "histogram.csv"}
 
 
+def test_failed_run_leaves_the_earlier_outputs_whole(tmp_path, monkeypatch, capsys):
+    """A run whose last chunk fails in a worker exits 2 and leaves both CSVs of the earlier run as they were."""
+    monkeypatch.setattr(haar, "_available_cpus", lambda: 2)
+    argv = ["haar", "--dims", "4,4", "--samples", str(3 * CHUNK), "--out", str(tmp_path)]
+    assert main([*argv, "--seed", "0"]) == 0
+    before = {name: (tmp_path / name).read_bytes() for name in ("samples.csv", "histogram.csv")}
+    parent, real = os.getpid(), haar.haar_sample_spectra
+
+    def haar_sample_spectra(dims, n_samples, seed):
+        if os.getpid() != parent and seed == 7 + 2 * CHUNK:
+            raise StateError("refused in a worker")
+        return real(dims, n_samples, seed)
+
+    monkeypatch.setattr(haar, "haar_sample_spectra", haar_sample_spectra)
+    assert main([*argv, "--seed", "7"]) == 2
+    assert "refused in a worker" in capsys.readouterr().err
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
 def test_unwritable_out_exits_2_and_creates_nothing(tmp_path, capsys):
     """An --out that is a regular file is a usage error: no output, no part directory, no child."""
     taken = tmp_path / "taken"

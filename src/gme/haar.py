@@ -26,7 +26,6 @@ through the parent.
 
 from __future__ import annotations
 
-import collections
 import contextlib
 import csv
 import functools
@@ -263,13 +262,14 @@ def _chunk_rows(parts_dir, dims, seed, k_values, m_values, edges, start, stop):
 def _map_chunks(work, starts, stops):
     """Yield ``work(start, stop)`` per chunk, in chunk order, over a pool of forked workers.
 
-    One worker per available CPU, never more than there are chunks, and at most
-    two chunks per worker in flight.  Each result passes through the pool's
-    result thread, so ``work`` should return little: ``haar_experiment``'s
-    workers return a part file's path and a few counts, not rows.  With one
-    worker, or where the platform cannot fork, the chunks run in this process.
-    A worker's exception is raised here with its own type; closing the
-    generator cancels the pending chunks and joins every worker.
+    One worker per available CPU, never more than there are chunks.  Each result
+    passes through the pool's result thread, so ``work`` should return little:
+    ``haar_experiment``'s workers return a part file's path and a few counts,
+    not rows.  With one worker, or where the platform cannot fork, the chunks
+    run in this process.  ``Executor.map`` keeps the chunk order and raises a
+    worker's exception here with its own type; when it raises or the generator
+    is closed, the chunks that have not started are cancelled and every worker
+    is joined.
     """
     workers = min(_available_cpus(), len(starts))
     if workers > 1:
@@ -285,13 +285,7 @@ def _map_chunks(work, starts, stops):
     # fork, not spawn: a spawned worker would import numpy and gme again
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
     try:
-        pending = collections.deque()
-        for start, stop in zip(starts, stops):
-            if len(pending) == 2 * workers:
-                yield pending.popleft().result()
-            pending.append(pool.submit(work, start, stop))
-        while pending:
-            yield pending.popleft().result()
+        yield from pool.map(work, starts, stops)
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 

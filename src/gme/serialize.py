@@ -18,7 +18,7 @@ import json
 import numpy as np
 
 from .states import DensityMatrix, PureState, StateError, Subspace
-from .zoo import FAMILIES, StateSpec, SubspaceSpec, _family_args, family_signature
+from .zoo import StateSpec, SubspaceSpec, _family_args, family_signature
 
 LOAD_ATOL = 1e-9   # files off by more than this fail to parse
 
@@ -177,9 +177,3 @@ def parse_spec_string(text: str):
         raise StateFileError(str(exc)) from exc
     kind = family_signature(name)[2]
     return (SubspaceSpec if kind == "subspace" else StateSpec)(name, params)
-
-
-def spec_kind(spec) -> str:
-    if spec.name not in FAMILIES:
-        raise StateFileError(f"unknown family {spec.name!r}")
-    return family_signature(spec.name)[2]

@@ -201,7 +201,6 @@ def _partial_trace_arr(mat, dims, parties):
     """Partial trace of a square array over the given parties (array level)."""
     parties = _check_parties(dims, parties)
     keep = [i for i in range(len(dims)) if i not in parties]
-    n = len(dims)
     tensor = np.asarray(mat).reshape(tuple(dims) + tuple(dims))
     # trace out parties one at a time, highest axis first
     for p in sorted(parties, reverse=True):
@@ -264,10 +263,7 @@ def schmidt_decompose(psi: PureState, bipartition) -> SchmidtDecomposition:
 def schmidt_spectrum(psi: PureState, bipartition) -> np.ndarray:
     """Eigenvalues (squared Schmidt coefficients) in non-increasing order, full length."""
     mat = _schmidt_matrix(psi, bipartition)
-    s = np.linalg.svd(mat, compute_uv=False)
-    lam = np.zeros(min(mat.shape))
-    lam[: s.size] = s**2
-    return lam
+    return np.linalg.svd(mat, compute_uv=False) ** 2
 
 
 # ---------------------------------------------------------------------------

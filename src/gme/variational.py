@@ -44,9 +44,6 @@ class _Flat:
     def input_len(self) -> int:
         return self.n
 
-    def value(self, theta):
-        return np.asarray(theta, dtype=float)
-
 
 # ---------------------------------------------------------------------------
 # registered objectives

@@ -531,8 +531,6 @@ def dicke_mixture_gme(n: int, k1: int, k2: int, r: float) -> float:
     idx = int(np.searchsorted(xs, r))
     if idx == 0:
         return hull[0][1]
-    if idx >= len(hull):
-        return hull[-1][1]
     (x1, y1), (x2, y2) = hull[idx - 1], hull[idx]
     t = 0.0 if x2 == x1 else (r - x1) / (x2 - x1)
     return float(min(y1 + t * (y2 - y1), dicke_mixture_pure_gme(n, k1, k2, r)))

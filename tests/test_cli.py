@@ -7,13 +7,23 @@ import json
 import numpy as np
 import pytest
 
-from gme import sdp
+from gme import sdp, variational
 from gme.cli import _optimizer_config, _parse_partition, build_parser, main
 from gme.optimizers import OptimizerConfig
 from gme.pure import k_gme_pure
 from gme.serialize import save_state
 from gme.states import PureState
-from gme.zoo import FAMILIES, bell_state, dicke_mixture_gme, isotropic_kgme, max_entangled
+from gme.zoo import (
+    FAMILIES,
+    bell_state,
+    bhat_subspace,
+    dicke_mixture_gme,
+    isotropic_kgme,
+    isotropic_state,
+    max_entangled,
+    two_by_d_theta_subspace,
+    upb_shifts_state,
+)
 
 
 def run_cli(capsys, *argv):
@@ -347,6 +357,25 @@ def test_multipartite_k_3_prints_a_record(capsys, argv):
     assert code == 0
     rec = _record(out)
     assert rec["k"] == 3 and rec["method"] == "variational" and rec["value"] < 1e-8
+
+
+K2_CFG = OptimizerConfig(restarts=2, max_iterations=200)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("subspace", "--subspace", "bhat:d1=2,d2=2,d3=3"),
+     lambda: variational.gme_subspace_multipartite(bhat_subspace(2, 2, 3), K2_CFG)),
+    (("mixed", "--state", "upb_shifts_state", "--ansatz-terms", "10"),
+     lambda: variational.gme_mixed_multipartite(upb_shifts_state(), 10, K2_CFG)),
+    (("subspace", "--subspace", "two_by_d_theta:d=3,theta=1.0"),
+     lambda: variational.kgme_subspace(two_by_d_theta_subspace(3, 1.0), 2, K2_CFG)),
+    (("mixed", "--state", "isotropic:d=2,F=0.8", "--ansatz-terms", "4"),
+     lambda: variational.kgme_mixed(isotropic_state(2, 0.8), 2, 4, K2_CFG)),
+], ids=["subspace-3-party", "mixed-3-party", "subspace-2-party", "mixed-2-party"])
+def test_k_2_ansatz_depends_on_the_party_count(capsys, argv, expected):
+    """At k = 2, three or more parties take fully product closest states; two parties take the rank-1 ansatz."""
+    code, out, _ = run_cli(capsys, *argv, "--k", "2", "--restarts", "2", "--max-iterations", "200")
+    assert code == 0 and _record(out)["value"] == expected().value
 
 
 def test_determinism_byte_identical(capsys):

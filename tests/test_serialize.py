@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from gme.serialize import StateFileError, load_state, parse_spec_string, save_state, spec_kind
+from gme.serialize import StateFileError, load_state, parse_spec_string, save_state
 from gme.states import PureState, Subspace
-from gme.zoo import StateSpec, SubspaceSpec, bell_state, isotropic_state
+from gme.zoo import StateSpec, SubspaceSpec, bell_state, family_signature, isotropic_state
 
 from conftest import random_pure
 
@@ -82,10 +82,10 @@ def test_schema_diagnostics(tmp_path):
 def test_spec_string_grammar():
     spec = parse_spec_string("isotropic:d=4,F=0.6")
     assert spec == StateSpec("isotropic", {"d": 4, "F": 0.6})
-    assert spec_kind(spec) == "mixed"
+    assert family_signature(spec.name)[2] == "mixed"
     sub = parse_spec_string("two_by_d_theta:d=3,theta=1.57")
     assert isinstance(sub, SubspaceSpec)
-    assert spec_kind(sub) == "subspace"
+    assert family_signature(sub.name)[2] == "subspace"
     assert parse_spec_string("ghz") == StateSpec("ghz", {})
     with pytest.raises(StateFileError):
         parse_spec_string("isotropic:d=4,volume=2")

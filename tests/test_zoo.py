@@ -9,7 +9,7 @@ import pytest
 from scipy import integrate
 
 from gme.optimizers import OptimizerConfig
-from gme.serialize import parse_spec_string, spec_kind
+from gme.serialize import parse_spec_string
 from gme.states import DensityMatrix, PureState, StateError, Subspace, partial_transpose
 from gme.variational import gme_mixed_multipartite
 from gme.zoo import (
@@ -29,6 +29,7 @@ from gme.zoo import (
     dicke_mixture_pure_gme,
     dicke_mixture_state,
     dicke_state,
+    family_signature,
     ghz_state,
     haar_eg2_density_d4,
     haar_egd_cdf,
@@ -176,9 +177,9 @@ KINDS = {"pure": PureState, "mixed": DensityMatrix, "subspace": Subspace}
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
 def test_every_family_agrees_with_the_table(name):
-    """A spec parses, builds an object of the kind spec_kind names, and only that builder accepts it."""
+    """A spec parses, builds an object of the kind family_signature names, and only that builder accepts it."""
     spec = parse_spec_string(FAMILY_EXAMPLES.get(name, name))
-    kind = spec_kind(spec)
+    kind = family_signature(spec.name)[2]
     assert isinstance(BUILDERS[kind](spec), KINDS[kind])
     assert isinstance(spec, SubspaceSpec) == (kind == "subspace")
     for other in set(BUILDERS) - {kind}:
@@ -279,6 +280,18 @@ def test_dicke_mixture_convexity():
         val = dicke_mixture_gme(n, k1, k2, r)
         assert val <= r * e1 + (1 - r) * e2 + 1e-10
         assert val <= dicke_mixture_pure_gme(n, k1, k2, r) + 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_dicke_mixture_envelope_leaves_a_concave_curve(n):
+    """The mixture of |0...0> and |1...1> is separable, yet its pure-state curve
+    min(r, 1 - r) is concave: the envelope drops every inner grid point and is 0
+    inside, and the curve's own value at the two ends."""
+    for r in (0.2, 0.5, 0.8):
+        assert dicke_mixture_pure_gme(n, 0, n, r) > 0.0
+        assert dicke_mixture_gme(n, 0, n, r) == 0.0
+    for r in (0.0, 1.0):
+        assert dicke_mixture_gme(n, 0, n, r) == dicke_mixture_pure_gme(n, 0, n, r)
 
 
 @pytest.mark.parametrize("n, r", [(3, 0.2), (3, 0.8), (4, 0.2), (4, 0.8)])

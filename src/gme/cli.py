@@ -59,6 +59,14 @@ def _load_any(text):
     return build_family(parse_spec_string(text))
 
 
+def _load_as(text, kinds, need):
+    """``_load_any``, refusing an object of another kind than ``kinds`` with ``need``."""
+    obj = _load_any(text)
+    if not isinstance(obj, kinds):
+        raise CliError(need, EXIT_USAGE)
+    return obj
+
+
 def _optimizer_config(args) -> OptimizerConfig:
     return OptimizerConfig(
         restarts=args.restarts,
@@ -112,18 +120,14 @@ def _parse_partition(text, n_parties):
 
 
 def cmd_pure(args):
-    state = _load_any(args.state)
-    if not isinstance(state, PureState):
-        raise CliError("subcommand 'pure' needs a pure state", EXIT_USAGE)
+    state = _load_as(args.state, PureState, "subcommand 'pure' needs a pure state")
     cfg = _optimizer_config(args)
     est = variational.kgme_pure_multipartite(state, args.k, cfg)
     _emit_estimate(est, args)
 
 
 def cmd_subspace(args):
-    sub = _load_any(args.subspace)
-    if not isinstance(sub, Subspace):
-        raise CliError("subcommand 'subspace' needs a subspace", EXIT_USAGE)
+    sub = _load_as(args.subspace, Subspace, "subcommand 'subspace' needs a subspace")
     cfg = _optimizer_config(args)
     if len(sub.dims) > 2 and args.k == 2:
         est = variational.gme_subspace_multipartite(sub, cfg)
@@ -133,9 +137,7 @@ def cmd_subspace(args):
 
 
 def cmd_mixed(args):
-    rho = _load_any(args.state)
-    if not isinstance(rho, DensityMatrix):
-        raise CliError("subcommand 'mixed' needs a density matrix", EXIT_USAGE)
+    rho = _load_as(args.state, DensityMatrix, "subcommand 'mixed' needs a density matrix")
     cfg = _optimizer_config(args)
     if args.partition is not None:
         left = _parse_partition(args.partition, len(rho.dims))
@@ -151,9 +153,8 @@ def cmd_mixed(args):
 def cmd_bound(args):
     if (args.state is None) == (args.subspace is None):
         raise CliError("bound needs exactly one of --state and --subspace", EXIT_USAGE)
-    obj = _load_any(args.state if args.state is not None else args.subspace)
-    if not isinstance(obj, (Subspace, DensityMatrix)):
-        raise CliError("subcommand 'bound' needs a mixed state or subspace", EXIT_USAGE)
+    obj = _load_as(args.state if args.state is not None else args.subspace,
+                   (Subspace, DensityMatrix), "subcommand 'bound' needs a mixed state or subspace")
     relaxation = sdp.resolve_relaxation(args.k, args.relaxation)
     value, sol = sdp.lower_bound(obj, args.k, relaxation, full_output=True)
     if not np.isfinite(value):
@@ -163,11 +164,9 @@ def cmd_bound(args):
 
 
 def cmd_criteria(args):
-    obj = _load_any(args.state)
+    obj = _load_as(args.state, (PureState, DensityMatrix), "subcommand 'criteria' needs a state")
     if isinstance(obj, PureState):
         obj = obj.to_density_matrix()
-    if not isinstance(obj, DensityMatrix):
-        raise CliError("subcommand 'criteria' needs a state", EXIT_USAGE)
     config = _optimizer_config(args)
     ppt = sdp.ppt_min_eig(obj, (0,))
     red = sdp.reduction_min_eig(obj, (1,), args.k)
@@ -181,9 +180,7 @@ def cmd_criteria(args):
         "method": "criteria",
     }
     if args.witness_from is not None:
-        ref = _load_any(args.witness_from)
-        if not isinstance(ref, PureState):
-            raise CliError("--witness-from needs a pure state", EXIT_USAGE)
+        ref = _load_as(args.witness_from, PureState, "--witness-from needs a pure state")
         try:
             wit = sdp.witness_from_pure(ref, config)
         except StateError as exc:
@@ -195,19 +192,16 @@ def cmd_criteria(args):
 
 
 def cmd_transform(args):
-    src = _load_any(args.src)
-    if not isinstance(src, PureState):
-        raise CliError("subcommand 'transform' needs pure states", EXIT_USAGE)
+    need = "subcommand 'transform' needs pure states"
+    src = _load_as(args.src, PureState, need)
+    if (args.dst is None) == (args.distill is None):
+        raise CliError("transform needs exactly one of --to and --distill", EXIT_USAGE)
     if args.distill is not None:
         report = distill_probability(src, args.distill)
         _emit_result(report.optimal_probability, report.binding_index, "distill", True, 0,
                      deterministic=report.deterministic_possible)
         return
-    if args.dst is None:
-        raise CliError("transform needs --to or --distill", EXIT_USAGE)
-    dst = _load_any(args.dst)
-    if not isinstance(dst, PureState):
-        raise CliError("subcommand 'transform' needs pure states", EXIT_USAGE)
+    dst = _load_as(args.dst, PureState, need)
     if src.dims != dst.dims:
         raise CliError("source and target layouts differ", EXIT_USAGE)
     report = vidal_probability(src, dst)

@@ -188,7 +188,7 @@ def haar_sample_spectra(dims, n_samples: int, seed: int) -> np.ndarray:
     z /= np.sqrt(sq[:, :, 0])
     err = np.abs(np.linalg.norm(z, axis=1) - 1.0)
     if np.any(err > NORM_ATOL):
-        raise StateError(f"state norm off 1 by {err.max()!r}, above {NORM_ATOL}")
+        raise StateError(f"state norm off 1 by {float(err.max())!r}, above {NORM_ATOL}")
     return np.linalg.svd(z.reshape(n_samples, d_a, d_b), compute_uv=False) ** 2
 
 
@@ -211,15 +211,15 @@ def _histogram_specs(dims, k_values, m_values):
     for k in k_values:
         analytic = None
         if square and k == d:
-            analytic = lambda x: float(haar_egd_density(d, x))  # noqa: E731
+            analytic = functools.partial(haar_egd_density, d)
         elif square and k == 2 and d == 4:
-            analytic = lambda x: float(haar_eg2_density_d4(x))  # noqa: E731
+            analytic = haar_eg2_density_d4
         hi = 1.0 / d if k == d and square else 1.0 - (k - 1.0) / d
         specs.append((f"E{k}", hi, analytic))
     for m in m_values:
         analytic = None
         if square and m == d:
-            analytic = lambda x: float(haar_psucc_full_density(d, x))  # noqa: E731
+            analytic = functools.partial(haar_psucc_full_density, d)
         specs.append((f"psucc_{m}", 1.0, analytic))
     return specs
 

@@ -75,7 +75,7 @@ def save_state(obj, path) -> None:
 def _normalized_pure(amps, dims, where):
     nrm = np.linalg.norm(amps)
     if not (abs(nrm - 1.0) <= LOAD_ATOL):  # NaN-safe: a NaN norm fails too
-        raise StateFileError(f"{where}: norm {nrm!r} violates normalization by more than {LOAD_ATOL}")
+        raise StateFileError(f"{where}: norm {float(nrm)!r} violates normalization by more than {LOAD_ATOL}")
     if abs(nrm - 1.0) > 1e-12:
         amps = amps / nrm
     return PureState(amps, dims)
@@ -123,7 +123,7 @@ def load_state(path):
         mat = np.asarray(vecs)
         tr = np.trace(mat).real
         if not (abs(tr - 1.0) <= LOAD_ATOL):
-            raise StateFileError(f"{path}: matrix trace {tr!r} violates unit trace by more than {LOAD_ATOL}")
+            raise StateFileError(f"{path}: matrix trace {float(tr)!r} violates unit trace by more than {LOAD_ATOL}")
         if abs(tr - 1.0) > 1e-12:
             mat = mat / tr
         try:

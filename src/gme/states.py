@@ -31,7 +31,7 @@ def _as_dims(dims) -> tuple[int, ...]:
 
 
 def total_dim(dims) -> int:
-    return int(math.prod(dims)) if len(dims) else 1
+    return int(math.prod(dims))
 
 
 def check_seed(seed):
@@ -66,7 +66,7 @@ class PureState:
             )
         nrm = np.linalg.norm(amps)
         if not (abs(nrm - 1.0) <= NORM_ATOL):  # NaN-safe: a NaN norm fails too
-            raise StateError(f"state norm {nrm!r} is not 1 within {NORM_ATOL}")
+            raise StateError(f"state norm {float(nrm)!r} is not 1 within {NORM_ATOL}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "dims", dims)
@@ -98,7 +98,7 @@ class DensityMatrix:
         mat = 0.5 * (mat + mat.conj().T)
         tr = np.trace(mat).real
         if not (abs(tr - 1.0) <= NORM_ATOL):
-            raise StateError(f"trace {tr!r} is not 1 within {NORM_ATOL}")
+            raise StateError(f"trace {float(tr)!r} is not 1 within {NORM_ATOL}")
         min_eig = float(np.linalg.eigvalsh(mat)[0])
         if min_eig < -PSD_ATOL:
             raise StateError(f"minimum eigenvalue {min_eig:.3e} below -{PSD_ATOL}")

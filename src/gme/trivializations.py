@@ -195,7 +195,7 @@ class Stiefel:
         return 2 * self.n * self.r
 
     def matrix(self, theta):
-        """The n x r complex matrix of the parameters, unchecked (``value`` checks them)."""
+        """The n x r complex matrix of float parameters; the caller checks them."""
         z = complex_from_reals(theta)
         return z.reshape(z.shape[:-1] + (self.n, self.r))
 
@@ -264,14 +264,10 @@ class _ProductTerms:
     def _split_parties(self, units):
         return [units[..., a : a + d] for a, d in zip(self._starts, self.dims)]
 
-    def value_and_pullback(self, theta, checked=False):
+    def value_and_pullback(self, theta):
         """The summed vector at theta, and the map from its cogradient g to the
-        real-parameter gradient; both share one pass over the parameters.
-
-        ``checked`` says theta is a float array already known to be finite (a
-        caller that checked a larger parameter vector it belongs to).
-        """
-        blocks, w, units, norms = self._parts(theta if checked else check_finite(theta))
+        real-parameter gradient; both share one pass over the parameters."""
+        blocks, w, units, norms = self._parts(check_finite(theta))
         value_spec, cog_specs = _einsum_specs(len(self.dims))
         vec = np.einsum(value_spec, w, *self._split_parties(units))
         vec = vec.reshape(vec.shape[: vec.ndim - len(self.dims)] + (-1,))
@@ -357,8 +353,8 @@ class RoofAnsatz:
         return self.stiefel.input_len + self.n_entries * self.inner.input_len
 
     def split(self, theta):
-        """Stiefel parameters (..., 2 n r) and per-entry inner parameters (..., n, inner_len)."""
-        theta = check_finite(theta)
+        """Stiefel parameters (..., 2 n r) and per-entry inner parameters (..., n, inner_len)
+        of a float array; each part is checked where it is read."""
         ns = self.stiefel.input_len
         return theta[..., :ns], theta[..., ns:].reshape(theta.shape[:-1] + (self.n_entries, self.inner.input_len))
 

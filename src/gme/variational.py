@@ -27,6 +27,7 @@ from .trivializations import (
     ProductAnsatz,
     RoofAnsatz,
     Sphere,
+    check_finite,
     complex_from_reals,
     polar,
     polar_vjp,
@@ -152,10 +153,10 @@ def make_mixed_roof(rho: DensityMatrix, inner, n_entries: int) -> Objective:
     def fun_grad(theta):
         th_x, th_inner = ansatz.split(theta)
         lead = th_x.shape[:-1]
-        a = stf.matrix(th_x)
+        a = stf.matrix(check_finite(th_x))
         x, gram = polar(a, return_gram=True)
         psit = x @ lam_tilde.T  # row i: sum_j X_ij |lam_j~>
-        phi, pullback = inner.value_and_pullback(th_inner, checked=True)
+        phi, pullback = inner.value_and_pullback(th_inner)
         c = np.sum(phi.conj() * psit, axis=-1)
         n = np.sum(phi.conj() * phi, axis=-1).real
         ratio = np.abs(c) ** 2 / n
@@ -223,7 +224,7 @@ def gme_subspace_multipartite(
 
 def default_n_entries(rho: DensityMatrix) -> int:
     _, rank = _rho_eigendata(rho)
-    return min(rank * rank, total_dim(rho.dims) ** 2)
+    return rank * rank
 
 
 def kgme_mixed(

@@ -229,6 +229,51 @@ def test_bad_arguments_exit_2(capsys):
     assert code == 2 and "density" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("pure", "--state", "isotropic:d=2,F=0.5"),
+    ("subspace", "--subspace", "bell"),
+    ("bound", "--state", "bell"),
+    ("criteria", "--state", "bhat:d1=2,d2=2,d3=2"),
+    ("criteria", "--state", "bell", "--witness-from", "isotropic:d=2,F=0.5"),
+    ("transform", "--from", "isotropic:d=2,F=0.5", "--distill", "2"),
+    ("transform", "--from", "bell"),
+    ("transform", "--from", "bell", "--to", "isotropic:d=2,F=0.5"),
+    ("transform", "--from", "bell", "--to", "ghz"),
+    ("mixed", "--state", "isotropic:d=2,F=0.5", "--ansatz-terms", "x"),
+    ("mixed", "--state", "upb_shifts_state", "--partition", "012"),
+    ("mixed", "--state", "upb_shifts_state", "--partition", "0,x|1,2"),
+    ("convert", "--state", "bell", "--out", "{missing}/x.json"),
+])
+def test_refused_input_exits_2_with_one_message(capsys, tmp_path, argv):
+    """An input of the wrong kind, a missing or malformed flag, or an unwritable
+    output is refused before anything is printed on stdout."""
+    argv = [a.format(missing=tmp_path / "missing") for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("gme:")
+
+
+def test_transform_refuses_to_together_with_distill(capsys):
+    code, out, err = run_cli(capsys, "transform", "--from", "bell", "--to", "bell", "--distill", "2")
+    assert code == 2 and out == "" and "exactly one of --to and --distill" in err
+
+
+@pytest.mark.parametrize("m", [0, 3])
+def test_oracle_dicke_without_excitations_to_spread_is_zero(capsys, m):
+    """|000> and |111> are product states."""
+    code, out, _ = run_cli(capsys, "oracle", "--state", f"dicke:n=3,m={m}")
+    assert code == 0 and _record(out)["value"] == 0.0
+
+
+def test_trace_drift_beyond_the_load_tolerance_exits_3(capsys, tmp_path):
+    rho = isotropic_state(2, 0.5)
+    doc = {"type": "mixed", "dims": [2, 2],
+           "matrix": [[[float(x.real * (1 + 5e-9)), float(x.imag)] for x in row] for row in rho.matrix]}
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "convert", "--state", str(path), "--out", str(tmp_path / "out.json"))
+    assert code == 3 and out == "" and "matrix trace 1.00000000" in err and "np." not in err
+
+
 @pytest.mark.parametrize("flags", [("--max-iterations", "0"), ("--tol", "-1"), ("--tol", "nan"), ("--tol", "inf")])
 def test_bad_optimizer_budget_or_tolerance_exits_2(capsys, flags):
     code, out, err = run_cli(capsys, "pure", "--state", "ghz", "--k", "2", "--restarts", "1", *flags)

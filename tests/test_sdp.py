@@ -69,6 +69,13 @@ def _trace_constraint(d):
     return ({0: np.eye(d, dtype=complex)}, 1.0)
 
 
+def test_contradictory_constraints_are_suspected_infeasible():
+    """Tr X = 1 and Tr X = 2 have no common point; the solver stops before iterating."""
+    sol = solve_sdp(SdpProblem([None], [3], [_trace_constraint(3), ({0: np.eye(3, dtype=complex)}, 2.0)]))
+    assert sol.status == "infeasible_suspected" and sol.iterations == 0
+    assert np.isnan(sol.primal_value) and np.isnan(sol.dual_value)
+
+
 def test_max_eigenvalue_form():
     h = np.diag([1.0, 2.0, 3.0]).astype(complex)
     sol = solve_sdp(SdpProblem([h], [3], [_trace_constraint(3)], sense="max"))

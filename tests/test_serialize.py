@@ -61,6 +61,17 @@ def test_mild_norm_drift_renormalized(tmp_path):
     assert abs(np.linalg.norm(loaded.amplitudes) - 1.0) < 1e-12
 
 
+def test_mild_trace_drift_renormalized(tmp_path):
+    rho = isotropic_state(2, 0.5)
+    doc = {"type": "mixed", "dims": [2, 2],
+           "matrix": [[[float(x.real * (1 + 5e-10)), float(x.imag)] for x in row] for row in rho.matrix]}
+    path = tmp_path / "drift.json"
+    path.write_text(json.dumps(doc))
+    loaded = load_state(path)
+    assert abs(np.trace(loaded.matrix).real - 1.0) < 1e-15
+    np.testing.assert_allclose(loaded.matrix, rho.matrix, atol=1e-15)
+
+
 def test_schema_diagnostics(tmp_path):
     cases = [
         ("{not json", "line"),

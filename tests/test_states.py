@@ -277,6 +277,16 @@ def test_max_entangled_spectrum():
     np.testing.assert_allclose(lam, np.full(5, 0.2), atol=1e-14)
 
 
+@pytest.mark.parametrize("make, number", [
+    (lambda: PureState(np.array([1.0, 0.1]), (2,)), "state norm 1.004987562112089 "),
+    (lambda: DensityMatrix(np.diag([0.6, 0.5]), (2,)), "trace 1.1 "),
+], ids=["pure-norm", "mixed-trace"])
+def test_refusals_print_plain_numbers(make, number):
+    with pytest.raises(StateError) as info:
+        make()
+    assert number in str(info.value) and "np." not in str(info.value)
+
+
 def test_nan_states_refused():
     """A NaN entry fails the norm, trace or asymmetry check, not a later routine."""
     amps = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)

@@ -1,8 +1,9 @@
 """Variational upper bounds for k-bounded geometric entanglement measures.
 
 Objectives are rational functions of trivialized quantities (overlap ratios
-and Rayleigh quotients), so their gradients are written out analytically and
-validated against central finite differences in the test suite.
+and Rayleigh quotients) or sums of Schmidt tails, so their gradients are
+written out analytically and validated against central finite differences in
+the test suite.
 """
 
 from __future__ import annotations
@@ -140,11 +141,49 @@ def _rho_eigendata(rho: DensityMatrix):
     return lam_tilde, int(vals.size)
 
 
+def _truncation_tails(lam_tilde, dims, k, x):
+    """Per-entry tails of x . lam_tilde^T at a Stiefel matrix x (..., n_entries, rank).
+
+    Row i, read as a d_A x d_B matrix M_i, is the i-th decomposition entry; its
+    best closest state of Schmidt rank < k is the truncated Schmidt expansion
+    T_{k-1}(M_i).  Returns the tail masses |M_i - T_{k-1}(M_i)|^2 (..., n_entries)
+    and the tails M_i - T_{k-1}(M_i) themselves, flattened (..., n_entries, d_A d_B).
+    """
+    if len(dims) != 2:
+        raise StateError(f"roof truncation needs a bipartite layout, got {dims}")
+    m = (x @ lam_tilde.T).reshape(x.shape[:-1] + tuple(dims))
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    tails = (u[..., k - 1 :] * s[..., None, k - 1 :]) @ vh[..., k - 1 :, :]
+    return schmidt_tail(s**2, k), tails.reshape(x.shape[:-1] + (-1,))
+
+
+def make_bipartite_roof(rho: DensityMatrix, k: int, n_entries: int) -> Objective:
+    """Two-party roof over the decomposition alone; E = min.
+
+    Each entry's closest state is in closed form, so the value is the summed
+    tail mass of the entries (variable projection).  By the envelope theorem
+    entry i's cogradient is its tail, pulled back through the polar factor.
+    The checks on k and n_entries are those of the joint roof it reduces.
+    """
+    lam_tilde, rank = _rho_eigendata(rho)
+    stf = RoofAnsatz(n_entries, rank, BoundedRankAnsatz(rho.dims, k)).stiefel
+
+    def fun_grad(theta):
+        a = stf.matrix(check_finite(theta))
+        x, gram = polar(a, return_gram=True)
+        tail_mass, tails = _truncation_tails(lam_tilde, rho.dims, k, x)
+        g_a = polar_vjp(a, tails @ lam_tilde.conj(), gram=gram)
+        return np.sum(tail_mass, axis=-1), reals_from_cograd(g_a).reshape(theta.shape)
+
+    return Objective("bipartite_roof", fun_grad, stf)
+
+
 def make_mixed_roof(rho: DensityMatrix, inner, n_entries: int) -> Objective:
     """Joint Stiefel-decomposition / closest-state objective; E = 1 + min.
 
     Every decomposition entry gets its own closest state from ``inner``; the
-    entries are evaluated as one batch.
+    entries are evaluated as one batch.  Two-party ``kgme_mixed`` uses
+    ``make_bipartite_roof`` instead, which solves the closest states exactly.
     """
     lam_tilde, rank = _rho_eigendata(rho)
     ansatz = RoofAnsatz(n_entries, rank, inner)
@@ -179,6 +218,7 @@ _REGISTRY = (
     "subspace_bounded_rank",
     "subspace_product",
     "mixed_roof",
+    "bipartite_roof",
 )
 
 
@@ -233,8 +273,14 @@ def kgme_mixed(
     n_entries: int | None = None,
     config: OptimizerConfig | None = None,
 ) -> GmeEstimate:
-    """Convex-roof upper bound on the k-bounded (tensor-rank) measure."""
+    """Convex-roof upper bound on the k-bounded (tensor-rank) measure.
+
+    For two parties the roof is minimized over the decomposition alone, with
+    each entry's closest state its truncated Schmidt expansion.
+    """
     n_entries = default_n_entries(rho) if n_entries is None else int(n_entries)
+    if len(rho.dims) == 2:
+        return _as_gme(minimize(make_bipartite_roof(rho, k, n_entries), config), 0.0)
     inner = BoundedRankAnsatz(rho.dims, k)
     est = minimize(make_mixed_roof(rho, inner, n_entries), config)
     return _as_gme(est, 1.0)
@@ -269,19 +315,14 @@ def roof_truncation_value(rho: DensityMatrix, k: int, x: np.ndarray) -> float:
     """Roof value for a fixed Stiefel matrix, inner maximization solved exactly.
 
     For each decomposition entry the optimal rank-(k-1) state is the truncated
-    Schmidt expansion, so the entry contributes its tail singular-value mass.
-    Cross-check oracle for the joint parameterization; non-smooth at spectral
-    degeneracies, hence not used as an optimizer path.  Needs two parties.
+    Schmidt expansion, so the entry contributes its tail singular-value mass:
+    the value of ``make_bipartite_roof`` at x itself.  Needs two parties.
     """
-    if len(rho.dims) != 2:
-        raise StateError(f"roof truncation needs a bipartite layout, got {rho.dims}")
     lam_tilde, rank = _rho_eigendata(rho)
     x = np.asarray(x, dtype=complex)
     if x.shape[1] != rank:
         raise StateError(f"Stiefel matrix must have {rank} columns")
-    entries = (lam_tilde @ x.T).T.reshape(x.shape[0], *rho.dims)
-    s = np.linalg.svd(entries, compute_uv=False)
-    return float(schmidt_tail(s**2, k).sum())
+    return float(_truncation_tails(lam_tilde, rho.dims, k, x)[0].sum())
 
 
 @dataclass(frozen=True)

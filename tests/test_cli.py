@@ -12,7 +12,7 @@ from gme.cli import _optimizer_config, _parse_partition, build_parser, main
 from gme.optimizers import OptimizerConfig
 from gme.pure import k_gme_pure
 from gme.serialize import save_state
-from gme.states import PureState
+from gme.states import PureState, StateError
 from gme.zoo import (
     FAMILIES,
     bell_state,
@@ -288,6 +288,15 @@ def test_criteria_validates_optimizer_flags_like_pure(capsys, flags):
     assert code == 2 and out == "" and err == pure_err and err.startswith("gme:")
 
 
+def test_two_party_roof_refuses_k_below_2(capsys):
+    """The closest states are solved in closed form, yet k < 2 is still refused, not answered."""
+    for k in (1, 0):
+        with pytest.raises(StateError, match="k >= 2"):
+            variational.kgme_mixed(isotropic_state(3, 0.7), k)
+    code, out, err = run_cli(capsys, "mixed", "--state", "isotropic:d=3,F=0.7", "--k", "1")
+    assert code == 2 and out == "" and err.startswith("gme:")
+
+
 @pytest.mark.parametrize("argv", [("pure", "--state", "ghz"), ("subspace", "--subspace", "ghz"),
                                   ("criteria", "--state", "bell")], ids=["pure", "subspace", "criteria"])
 def test_ansatz_terms_is_refused_where_nothing_reads_it(capsys, argv):
@@ -418,7 +427,7 @@ K2_CFG = OptimizerConfig(restarts=2, max_iterations=200)
      lambda: variational.kgme_mixed(isotropic_state(2, 0.8), 2, 4, K2_CFG)),
 ], ids=["subspace-3-party", "mixed-3-party", "subspace-2-party", "mixed-2-party"])
 def test_k_2_ansatz_depends_on_the_party_count(capsys, argv, expected):
-    """At k = 2, three or more parties take fully product closest states; two parties take the rank-1 ansatz."""
+    """At k = 2, three or more parties take fully product closest states; two parties take rank-1 ones in closed form."""
     code, out, _ = run_cli(capsys, *argv, "--k", "2", "--restarts", "2", "--max-iterations", "200")
     assert code == 0 and _record(out)["value"] == expected().value
 

@@ -7,6 +7,7 @@ from gme.optimizers import Objective
 from gme.states import StateError
 from gme.variational import (
     gradient,
+    make_bipartite_roof,
     make_mixed_roof,
     make_pure_overlap,
     make_quadratic,
@@ -92,6 +93,15 @@ def test_mixed_roof_gradients():
     check_points(obj_multi3, 5, seed=9)
 
 
+def test_bipartite_roof_gradients(rng):
+    from conftest import random_density
+
+    rho = isotropic_state(3, 0.7)
+    check_points(make_bipartite_roof(rho, 2, 10), 10, seed=10)
+    check_points(make_bipartite_roof(rho, 3, 10), 10, seed=11)
+    check_points(make_bipartite_roof(random_density((3, 4), rng, rank=5), 2, 7), 10, seed=12)
+
+
 def _objectives():
     rho = isotropic_state(3, 0.7)
     upb = upb_shifts_state()
@@ -102,7 +112,9 @@ def _objectives():
         "pure_overlap": make_pure_overlap(ghz_state(), 2),
         "subspace_bounded_rank": make_subspace_bounded_rank(johnston_subspace(), 2),
         "subspace_product": make_subspace_product(shifts_complement_subspace()),
+        # the joint roof on two parties, beside the closed-form one that two-party kgme_mixed runs
         "roof_bipartite": make_mixed_roof(rho, BoundedRankAnsatz(rho.dims, 2), 10),
+        "bipartite_roof": make_bipartite_roof(rho, 2, 10),
         "roof_product": make_mixed_roof(upb, ProductAnsatz(upb.dims), 5),
     }
 

@@ -16,6 +16,7 @@ from gme.states import StateError
 from gme.trivializations import BoundedRankAnsatz, ProductAnsatz
 from gme.variational import (
     kgme_pure_multipartite,
+    make_bipartite_roof,
     make_mixed_roof,
     make_pure_overlap,
     make_quadratic,
@@ -105,7 +106,10 @@ def _lockstep_problems():
     upb = upb_shifts_state()
     m = np.random.default_rng(3).standard_normal((6, 6)) * (1 + 1j)
     return {
+        # the joint roof on two parties, beside the closed-form one that two-party kgme_mixed runs
         "roof_bipartite": (make_mixed_roof(iso, BoundedRankAnsatz(iso.dims, 2), 10),
+                           OptimizerConfig(restarts=3, max_iterations=60, seed=2)),
+        "bipartite_roof": (make_bipartite_roof(iso, 2, 10),
                            OptimizerConfig(restarts=3, max_iterations=60, seed=2)),
         "roof_upb": (make_mixed_roof(upb, ProductAnsatz(upb.dims), 5),
                      OptimizerConfig(restarts=3, max_iterations=60, seed=4)),
@@ -147,7 +151,7 @@ def _assert_rows_independent(obj, config):
     np.testing.assert_array_equal(est.best_params, alone[int(np.argmin(est.per_restart_values))].best_params)
 
 
-@pytest.mark.parametrize("name", ["roof_bipartite", "pure_overlap"])
+@pytest.mark.parametrize("name", ["roof_bipartite", "bipartite_roof", "pure_overlap"])
 def test_restart_rows_are_independent_lbfgs(name):
     """Tolerance 0: a row's evaluations do not depend on the rows beside it."""
     obj, config = _lockstep_problems()[name]

@@ -18,7 +18,7 @@ from gme.variational import (
     range_subspace,
     roof_truncation_value,
 )
-from gme.trivializations import BoundedRankAnsatz, RoofAnsatz, Stiefel, polar
+from gme.trivializations import Stiefel, polar
 from gme.zoo import (
     dicke_mixture_state,
     dicke_state,
@@ -150,15 +150,19 @@ def test_default_n_entries_formula():
 
 
 def test_roof_truncation_cross_check():
-    """At the optimized Stiefel point the exact inner maximization agrees."""
+    """The two-party roof's optimized value is the exact inner maximization at its Stiefel point."""
     rho = isotropic_state(2, 0.9)
     est = kgme_mixed(rho, 2, n_entries=8, config=FAST.with_(restarts=3))
-    ansatz = RoofAnsatz(8, 4, BoundedRankAnsatz((2, 2), 2))
-    th_x, _ = ansatz.split(est.best_params)
-    x = polar(Stiefel(8, 4).matrix(th_x))
-    truncated = roof_truncation_value(rho, 2, x)
-    assert truncated <= est.value + 1e-8
-    assert abs(truncated - est.value) < 1e-5
+    x = polar(Stiefel(8, 4).matrix(est.best_params))
+    assert abs(roof_truncation_value(rho, 2, x) - est.value) < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_two_party_roof_reaches_the_isotropic_closed_form(seed):
+    """At k = 4 on isotropic(4, 0.9) the closest states in closed form leave no gap."""
+    cfg = OptimizerConfig(restarts=2, max_iterations=300, seed=seed)
+    est = kgme_mixed(isotropic_state(4, 0.9), 4, n_entries=20, config=cfg)
+    assert abs(est.value - isotropic_kgme(4, 0.9, 4)) < 1e-12
 
 
 def test_roof_truncation_refuses_more_than_two_parties():

@@ -1,7 +1,7 @@
 """Variational upper bounds for k-bounded geometric entanglement measures.
 
 Objectives are rational functions of trivialized quantities (overlap ratios
-and Rayleigh quotients) or sums of Schmidt tails, so their gradients are
+and Rayleigh quotients) or shares of Schmidt tails, so their gradients are
 written out analytically and validated against central finite differences in
 the test suite.
 """
@@ -13,7 +13,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .optimizers import GmeEstimate, Objective, OptimizerConfig, minimize
-from .pure import schmidt_tail
 from .states import (
     DensityMatrix,
     PureState,
@@ -28,6 +27,7 @@ from .trivializations import (
     ProductAnsatz,
     RoofAnsatz,
     Sphere,
+    _adjoint,
     check_finite,
     complex_from_reals,
     polar,
@@ -142,28 +142,45 @@ def _rho_eigendata(rho: DensityMatrix):
 
 
 def _truncation_tails(lam_tilde, dims, k, x):
-    """Per-entry tails of x . lam_tilde^T at a Stiefel matrix x (..., n_entries, rank).
+    """Tail share of the entries x . lam_tilde^T at a Stiefel matrix x (..., n_entries, rank).
 
     Row i, read as a d_A x d_B matrix M_i, is the i-th decomposition entry; its
-    best closest state of Schmidt rank < k is the truncated Schmidt expansion
-    T_{k-1}(M_i).  Returns the tail masses |M_i - T_{k-1}(M_i)|^2 (..., n_entries)
-    and the tails M_i - T_{k-1}(M_i) themselves, flattened (..., n_entries, d_A d_B).
+    best closest state of Schmidt rank < k is the truncated Schmidt expansion,
+    and the rest is its tail W (W^dag M_i), where W holds the eigenvectors of the
+    smaller reduced Gram matrix (M_i M_i^dag, or that of M_i^T when d_A > d_B)
+    past its k - 1 largest.  Returns the share sum_i |tail_i|^2 / sum_i |M_i|^2
+    and that denominator (...), and the entries and their tails, each flattened
+    to (..., n_entries, d_A d_B).  For k > min(d_A, d_B) the tails are 0.
     """
     if len(dims) != 2:
         raise StateError(f"roof truncation needs a bipartite layout, got {dims}")
-    m = (x @ lam_tilde.T).reshape(x.shape[:-1] + tuple(dims))
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    tails = (u[..., k - 1 :] * s[..., None, k - 1 :]) @ vh[..., k - 1 :, :]
-    return schmidt_tail(s**2, k), tails.reshape(x.shape[:-1] + (-1,))
+    lead = x.shape[:-1]
+    m = x @ lam_tilde.T
+    mat = m.reshape(lead + tuple(dims))
+    if dims[0] > dims[1]:
+        mat = mat.swapaxes(-1, -2)  # a transposed entry has the transposed tail
+    _, vecs = np.linalg.eigh(mat @ _adjoint(mat))
+    w = vecs[..., : max(min(dims) - k + 1, 0)]
+    tails = w @ (_adjoint(w) @ mat)
+    if dims[0] > dims[1]:
+        tails = tails.swapaxes(-1, -2)
+    tails = tails.reshape(lead + (-1,))
+    flat = x.shape[:-2] + (-1,)
+    weight = _inner(m.reshape(flat), m.reshape(flat)).real
+    tail_mass = _inner(tails.reshape(flat), tails.reshape(flat)).real
+    return tail_mass / weight, weight, m, tails
 
 
 def make_bipartite_roof(rho: DensityMatrix, k: int, n_entries: int) -> Objective:
     """Two-party roof over the decomposition alone; E = min.
 
-    Each entry's closest state is in closed form, so the value is the summed
-    tail mass of the entries (variable projection).  By the envelope theorem
-    entry i's cogradient is its tail, pulled back through the polar factor.
-    The checks on k and n_entries are those of the joint roof it reduces.
+    Each entry's closest state is in closed form, so the value is the entries'
+    tail share (variable projection).  The regularized polar factor is a
+    contraction, so the entries' total weight falls a little short of 1;
+    dividing by it keeps the tails from shrinking with the weight.  By the
+    envelope theorem the cogradient in entry i is (tail_i - share M_i) / weight,
+    pulled back through the polar factor.  The checks on k and n_entries are
+    those of the joint roof it reduces.
     """
     lam_tilde, rank = _rho_eigendata(rho)
     stf = RoofAnsatz(n_entries, rank, BoundedRankAnsatz(rho.dims, k)).stiefel
@@ -171,9 +188,10 @@ def make_bipartite_roof(rho: DensityMatrix, k: int, n_entries: int) -> Objective
     def fun_grad(theta):
         a = stf.matrix(check_finite(theta))
         x, gram = polar(a, return_gram=True)
-        tail_mass, tails = _truncation_tails(lam_tilde, rho.dims, k, x)
-        g_a = polar_vjp(a, tails @ lam_tilde.conj(), gram=gram)
-        return np.sum(tail_mass, axis=-1), reals_from_cograd(g_a).reshape(theta.shape)
+        share, weight, m, tails = _truncation_tails(lam_tilde, rho.dims, k, x)
+        g_m = (tails - share[..., None, None] * m) / weight[..., None, None]
+        g_a = polar_vjp(a, g_m @ lam_tilde.conj(), gram=gram)
+        return share, reals_from_cograd(g_a).reshape(theta.shape)
 
     return Objective("bipartite_roof", fun_grad, stf)
 
@@ -315,14 +333,19 @@ def roof_truncation_value(rho: DensityMatrix, k: int, x: np.ndarray) -> float:
     """Roof value for a fixed Stiefel matrix, inner maximization solved exactly.
 
     For each decomposition entry the optimal rank-(k-1) state is the truncated
-    Schmidt expansion, so the entry contributes its tail singular-value mass:
-    the value of ``make_bipartite_roof`` at x itself.  Needs two parties.
+    Schmidt expansion, so the entry contributes its Schmidt tail, and the value
+    is the entries' tail share: the value of ``make_bipartite_roof`` at x itself.
+    Needs two parties, k >= 2 and a finite x with one column per eigenvector of rho.
     """
     lam_tilde, rank = _rho_eigendata(rho)
+    if k < 2:
+        raise StateError(f"roof truncation needs k >= 2, got {k}")
     x = np.asarray(x, dtype=complex)
-    if x.shape[1] != rank:
-        raise StateError(f"Stiefel matrix must have {rank} columns")
-    return float(_truncation_tails(lam_tilde, rho.dims, k, x)[0].sum())
+    if x.ndim != 2 or x.shape[1] != rank:
+        raise StateError(f"Stiefel matrix must be a matrix with {rank} columns")
+    if not np.isfinite(x).all():
+        raise StateError("Stiefel matrix must be finite")
+    return float(_truncation_tails(lam_tilde, rho.dims, k, x)[0])
 
 
 @dataclass(frozen=True)

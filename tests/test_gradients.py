@@ -100,6 +100,10 @@ def test_bipartite_roof_gradients(rng):
     check_points(make_bipartite_roof(rho, 2, 10), 10, seed=10)
     check_points(make_bipartite_roof(rho, 3, 10), 10, seed=11)
     check_points(make_bipartite_roof(random_density((3, 4), rng, rank=5), 2, 7), 10, seed=12)
+    # d_A > d_B takes the tails from the Gram matrix of the transposed entries
+    wide = random_density((4, 3), rng, rank=5)
+    check_points(make_bipartite_roof(wide, 2, 7), 10, seed=13)
+    check_points(make_bipartite_roof(wide, 3, 7), 10, seed=14)
 
 
 def _objectives():

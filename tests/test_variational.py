@@ -32,6 +32,8 @@ from gme.zoo import (
     upb_shifts_state,
     upb_tiles_state,
     w_state,
+    werner_gme,
+    werner_state,
 )
 
 from conftest import random_pure, random_unitary
@@ -171,22 +173,78 @@ def test_roof_truncation_refuses_more_than_two_parties():
         roof_truncation_value(w_state().to_density_matrix(), 2, np.ones((1, 1)))
 
 
-@pytest.mark.parametrize("k", [2, 3])
-def test_roof_truncation_matches_the_per_entry_loop(rng, k):
-    """The batched SVD gives the per-entry sum of tail singular-value mass."""
+@pytest.mark.parametrize("k, dims", [(2, (3, 4)), (3, (3, 4)), (2, (4, 3)), (3, (4, 3))],
+                         ids=["2", "3", "2-4x3", "3-4x3"])
+def test_roof_truncation_matches_the_per_entry_loop(rng, k, dims):
+    """The reduced Gram eigenvectors give the tail share of the per-entry SVDs."""
     from conftest import random_density
 
     from gme.variational import _rho_eigendata
 
-    rho = random_density((3, 4), rng, rank=5)
+    rho = random_density(dims, rng, rank=5)
     lam_tilde, rank = _rho_eigendata(rho)
     x = random_unitary(9, rng)[:, :rank]  # a random point of the Stiefel manifold, 9 entries
     psit = lam_tilde @ x.T
-    loop = 0.0
+    tail = weight = 0.0
     for i in range(x.shape[0]):
-        s = np.linalg.svd(psit[:, i].reshape(3, 4), compute_uv=False)
-        loop += float((s[k - 1 :] ** 2).sum())
-    assert abs(roof_truncation_value(rho, k, x) - loop) <= 1e-14
+        s = np.linalg.svd(psit[:, i].reshape(dims), compute_uv=False)
+        tail += float((s[k - 1 :] ** 2).sum())
+        weight += float((s**2).sum())
+    assert abs(roof_truncation_value(rho, k, x) - tail / weight) <= 1e-14
+
+
+@pytest.mark.parametrize("dims", [(3, 4), (4, 3)], ids=["3x4", "4x3"])
+@pytest.mark.parametrize("k", [4, 5])
+def test_roof_tail_vanishes_past_the_smaller_dimension(rng, k, dims):
+    """Every entry has Schmidt rank <= 3 < k, so value and gradient are exactly 0."""
+    from conftest import random_density
+
+    from gme.variational import make_bipartite_roof
+
+    rho = random_density(dims, rng, rank=5)
+    assert roof_truncation_value(rho, k, random_unitary(9, rng)[:, :5]) == 0.0
+    obj = make_bipartite_roof(rho, k, 9)
+    value, grad = obj.fun_grad(rng.standard_normal((2, obj.input_len)))
+    assert not value.any() and not grad.any()
+
+
+@pytest.mark.parametrize("k", [0, 1, -1])
+def test_roof_truncation_refuses_k_below_2(k):
+    """Negative indices would wrap k = 0 and -1 around to the k = 3 and k = 2 tails."""
+    x = random_unitary(9, np.random.default_rng(0))
+    with pytest.raises(StateError, match="k >= 2"):
+        roof_truncation_value(isotropic_state(3, 0.7), k, x)
+
+
+def _with_entry(x, i, j, value):
+    x = x.copy()
+    x[i, j] = value
+    return x
+
+
+@pytest.mark.parametrize("make_x, match", [
+    (lambda x: _with_entry(x, 2, 3, np.nan), "finite"),
+    (lambda x: _with_entry(x, 2, 3, np.inf), "finite"),
+    (lambda x: x[:, 0], "columns"),
+    (lambda x: x[:, :8], "columns"),
+], ids=["nan", "inf", "vector", "too-few-columns"])
+def test_roof_truncation_refuses_a_malformed_matrix(make_x, match):
+    """A StateError, not the LinAlgError of a NaN or the IndexError of a vector."""
+    x = make_x(random_unitary(9, np.random.default_rng(0)))
+    with pytest.raises(StateError, match=match):
+        roof_truncation_value(isotropic_state(3, 0.7), 2, x)
+
+
+@pytest.mark.parametrize("rho, k, exact, seed", [
+    (isotropic_state(4, 1.0), 2, isotropic_kgme(4, 1.0, 2), 0),
+    (isotropic_state(4, 1.0), 3, isotropic_kgme(4, 1.0, 3), 0),
+    (isotropic_state(4, 1.0), 4, isotropic_kgme(4, 1.0, 4), 0),
+    (werner_state(4, 1.0), 2, werner_gme(4, 1.0), 4),
+], ids=["isotropic-k2", "isotropic-k3", "isotropic-k4", "werner-k2"])
+def test_two_party_roof_is_not_below_the_closed_form(rho, k, exact, seed):
+    """The regularized polar factor is a contraction; the tail share does not shrink with it."""
+    cfg = OptimizerConfig(restarts=2, max_iterations=300, seed=seed)
+    assert kgme_mixed(rho, k, n_entries=20, config=cfg).value >= exact - 1e-15
 
 
 def test_multipartite_mixed_separable(rng):

@@ -129,11 +129,7 @@ def cmd_pure(args):
 def cmd_subspace(args):
     sub = _load_as(args.subspace, Subspace, "subcommand 'subspace' needs a subspace")
     cfg = _optimizer_config(args)
-    if len(sub.dims) > 2 and args.k == 2:
-        est = variational.gme_subspace_multipartite(sub, cfg)
-    else:
-        est = variational.kgme_subspace(sub, args.k, cfg)
-    _emit_estimate(est, args)
+    _emit_estimate(variational.kgme_subspace(sub, args.k, cfg), args)
 
 
 def cmd_mixed(args):
@@ -142,12 +138,7 @@ def cmd_mixed(args):
     if args.partition is not None:
         left = _parse_partition(args.partition, len(rho.dims))
         rho = DensityMatrix(*_regroup(rho.matrix, rho.dims, left))
-    n_entries = _ansatz_terms(args)
-    if len(rho.dims) > 2 and args.k == 2:
-        est = variational.gme_mixed_multipartite(rho, n_entries, cfg)
-    else:
-        est = variational.kgme_mixed(rho, args.k, n_entries, cfg)
-    _emit_estimate(est, args)
+    _emit_estimate(variational.kgme_mixed(rho, args.k, _ansatz_terms(args), cfg), args)
 
 
 def cmd_bound(args):

@@ -29,7 +29,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import operator
 import os
 import shutil
 import tempfile
@@ -38,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pure import _check_distill_target, distill_curve, schmidt_tail
-from .states import NORM_ATOL, StateError, _as_dims, check_seed
+from .states import NORM_ATOL, StateError, _as_dims, check_int, check_seed
 from .zoo import haar_eg2_density_d4, haar_egd_density, haar_psucc_full_density
 
 
@@ -67,7 +66,7 @@ class ExperimentConfig:
     out_dir: str = "."
 
     def __post_init__(self):
-        if self.n_samples < 1:
+        if check_int(self.n_samples, "n_samples") < 1:
             raise StateError("need at least one sample")
         check_seed(self.seed)
         dims = _as_dims(self.dims)
@@ -79,7 +78,7 @@ class ExperimentConfig:
                 raise StateError(f"k={k} outside [1, {d}] for local dimensions {dims}")
         for m in self.m_values:
             _check_distill_target(m, d)
-        if self.n_bins < 1:
+        if check_int(self.n_bins, "n_bins") < 1:
             raise StateError(f"need at least one histogram bin, got {self.n_bins}")
 
 
@@ -172,7 +171,7 @@ def haar_sample_spectra(dims, n_samples: int, seed: int) -> np.ndarray:
       ``np.linalg.norm`` runs on a complex vector.
     """
     d_a, d_b = _as_dims(dims)
-    seed = check_seed(operator.index(seed))
+    seed = check_seed(seed)
     raw = np.empty((n_samples, 2, d_a * d_b))
     bits = np.random.PCG64(0)
     gen = np.random.Generator(bits)

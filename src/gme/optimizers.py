@@ -30,7 +30,7 @@ from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 
 import numpy as np
 
-from .states import StateError, check_seed
+from .states import StateError, check_int, check_seed
 
 
 def scipy_extension(subpackage, module):
@@ -81,9 +81,9 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1:
+        if check_int(self.restarts, "restarts") < 1:
             raise StateError("need at least one restart")
-        if self.max_iterations < 1:
+        if check_int(self.max_iterations, "max_iterations") < 1:
             raise StateError("need at least one iteration")
         if not (math.isfinite(self.gradient_tolerance) and self.gradient_tolerance >= 0):
             raise StateError(f"gradient tolerance must be finite and >= 0, got {self.gradient_tolerance}")

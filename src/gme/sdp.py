@@ -303,6 +303,8 @@ def solve_sdp(problem: SdpProblem, tolerance: float = 1e-7) -> SdpSolution:
     certificate up to the reported dual residual: the PSD dual slack is exact
     by construction, only the dual equality holds approximately.
     """
+    if not (np.isfinite(tolerance) and tolerance > 0):
+        raise StateError(f"tolerance must be finite and positive, got {tolerance}")
     data = list(problem.objective) + [value for _, _, value in problem.fixed]
     data += [mat for coeffs, _ in problem.constraints for mat in coeffs.values()]
     vec = _BlockVec(problem.blocks, real=all(_is_real(mat) for mat in data))

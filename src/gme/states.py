@@ -9,6 +9,7 @@ and ``np.reshape(dims)``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +35,17 @@ def total_dim(dims) -> int:
     return int(math.prod(dims))
 
 
+def check_int(value, what):
+    """An integer (NumPy integers too) as an ``int``; anything else, such as 1.5, raises."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise StateError(f"{what} must be an integer, got {value!r}") from None
+
+
 def check_seed(seed):
     """Pass an integer seed through; a negative one, which ``default_rng`` refuses, raises."""
+    seed = check_int(seed, "seed")
     if seed < 0:
         raise StateError(f"seed must be a non-negative integer, got {seed}")
     return seed

@@ -190,6 +190,10 @@ class Stiefel:
     n: int
     r: int
 
+    def __post_init__(self):
+        if not 0 < self.r <= self.n:
+            raise StateError(f"a Stiefel matrix needs 0 < r <= n, got n={self.n}, r={self.r}")
+
     @property
     def input_len(self) -> int:
         return 2 * self.n * self.r
@@ -227,16 +231,20 @@ class _ProductTerms:
     """Batched engine of the product-sum families: sum_t w_t f_t1 (x) ... (x) f_tn.
 
     Parameters have shape (..., input_len) with any leading batch axes.  Each
-    term's block holds its raw weight (weighted families only; w = softplus)
-    followed by the interleaved real pairs of every party's factor, which is
-    normalized.  Values have shape (..., prod(dims)).
+    term's block holds its raw weight (only when there is more than one term;
+    w = softplus) followed by the interleaved real pairs of every party's
+    factor, which is normalized.  A single term carries no weight: every
+    objective divides by the vector's norm, so its scale is never read.
+    Values have shape (..., prod(dims)).
     """
-
-    weighted = False
 
     @property
     def terms(self) -> int:
         return 1
+
+    @property
+    def weighted(self) -> bool:
+        return self.terms > 1
 
     @property
     def term_len(self) -> int:
@@ -314,12 +322,11 @@ class BoundedRankAnsatz(_ProductTerms):
     """Unnormalized sum of k-1 product terms with positive weights.
 
     For two parties this parameterizes states of Schmidt rank < k; in the
-    multipartite case, tensor rank < k.
+    multipartite case, tensor rank < k.  At k = 2 it is ``ProductAnsatz``.
     """
 
     dims: tuple[int, ...]
     k: int
-    weighted = True
 
     def __post_init__(self):
         if self.k < 2:

@@ -19,12 +19,12 @@ from .states import (
     StateError,
     Subspace,
     _support,
+    check_int,
     check_seed,
     total_dim,
 )
 from .trivializations import (
     BoundedRankAnsatz,
-    ProductAnsatz,
     RoofAnsatz,
     Sphere,
     _adjoint,
@@ -123,16 +123,8 @@ def make_subspace_bounded_rank(subspace: Subspace, k: int) -> Objective:
 
 
 def make_subspace_product(subspace: Subspace) -> Objective:
-    """Complement-projector expectation over fully product states."""
-    ansatz = ProductAnsatz(subspace.dims)
-    proj = subspace.complement.matrix
-
-    def fun_grad(theta):
-        phi, pullback = ansatz.value_and_pullback(theta)
-        p_phi = _apply(proj, phi)
-        return _inner(phi, p_phi).real, pullback(p_phi)
-
-    return Objective("subspace_product", fun_grad, ansatz)
+    """Complement-projector expectation over fully product states: the bounded-rank objective at k = 2."""
+    return make_subspace_bounded_rank(subspace, 2)
 
 
 def _rho_eigendata(rho: DensityMatrix):
@@ -234,7 +226,6 @@ _REGISTRY = (
     "rayleigh",
     "pure_overlap",
     "subspace_bounded_rank",
-    "subspace_product",
     "mixed_roof",
     "bipartite_roof",
 )
@@ -275,9 +266,8 @@ def kgme_subspace(
 def gme_subspace_multipartite(
     subspace: Subspace, config: OptimizerConfig | None = None
 ) -> GmeEstimate:
-    """Upper bound on the fully-product geometric measure of a subspace."""
-    est = minimize(make_subspace_product(subspace), config)
-    return _as_gme(est, 0.0)
+    """Upper bound on the fully-product geometric measure of a subspace: ``kgme_subspace`` at k = 2."""
+    return kgme_subspace(subspace, 2, config)
 
 
 def default_n_entries(rho: DensityMatrix) -> int:
@@ -309,11 +299,8 @@ def gme_mixed_multipartite(
     n_entries: int | None = None,
     config: OptimizerConfig | None = None,
 ) -> GmeEstimate:
-    """Convex-roof upper bound with fully product closest states."""
-    n_entries = default_n_entries(rho) if n_entries is None else int(n_entries)
-    inner = ProductAnsatz(rho.dims)
-    est = minimize(make_mixed_roof(rho, inner, n_entries), config)
-    return _as_gme(est, 1.0)
+    """Convex-roof upper bound with fully product closest states: ``kgme_mixed`` at k = 2."""
+    return kgme_mixed(rho, 2, n_entries, config)
 
 
 def range_subspace(rho: DensityMatrix) -> Subspace:
@@ -367,11 +354,11 @@ def perturbation_experiment(
 
     H is a Gaussian Hermitian matrix rescaled to the requested operator norm.
     """
-    if norm_bound < 0:
-        raise StateError("norm_bound must be non-negative")
-    if trials < 1:
+    if not (np.isfinite(norm_bound) and norm_bound >= 0):
+        raise StateError(f"norm_bound must be finite and non-negative, got {norm_bound}")
+    if check_int(trials, "trials") < 1:
         raise StateError(f"need at least one trial, got trials={trials}")
-    check_seed(seed)
+    seed = check_seed(seed)
     d = total_dim(subspace.dims)
     values = []
     for t in range(trials):

@@ -418,16 +418,16 @@ K2_CFG = OptimizerConfig(restarts=2, max_iterations=200)
 
 @pytest.mark.parametrize("argv, expected", [
     (("subspace", "--subspace", "bhat:d1=2,d2=2,d3=3"),
-     lambda: variational.gme_subspace_multipartite(bhat_subspace(2, 2, 3), K2_CFG)),
+     lambda: variational.kgme_subspace(bhat_subspace(2, 2, 3), 2, K2_CFG)),
     (("mixed", "--state", "upb_shifts_state", "--ansatz-terms", "10"),
-     lambda: variational.gme_mixed_multipartite(upb_shifts_state(), 10, K2_CFG)),
+     lambda: variational.kgme_mixed(upb_shifts_state(), 2, 10, K2_CFG)),
     (("subspace", "--subspace", "two_by_d_theta:d=3,theta=1.0"),
      lambda: variational.kgme_subspace(two_by_d_theta_subspace(3, 1.0), 2, K2_CFG)),
     (("mixed", "--state", "isotropic:d=2,F=0.8", "--ansatz-terms", "4"),
      lambda: variational.kgme_mixed(isotropic_state(2, 0.8), 2, 4, K2_CFG)),
 ], ids=["subspace-3-party", "mixed-3-party", "subspace-2-party", "mixed-2-party"])
-def test_k_2_ansatz_depends_on_the_party_count(capsys, argv, expected):
-    """At k = 2, three or more parties take fully product closest states; two parties take rank-1 ones in closed form."""
+def test_k_2_is_the_kgme_measure_on_every_party_count(capsys, argv, expected):
+    """At k = 2 the CLI runs kgme_subspace and kgme_mixed, on two parties as on three."""
     code, out, _ = run_cli(capsys, *argv, "--k", "2", "--restarts", "2", "--max-iterations", "200")
     assert code == 0 and _record(out)["value"] == expected().value
 

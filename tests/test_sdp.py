@@ -125,6 +125,13 @@ def test_non_hermitian_data_rejected(rng):
         SdpProblem([bad], [3], [_trace_constraint(3)], sense="max")
 
 
+@pytest.mark.parametrize("tolerance", [np.nan, np.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"])
+def test_solver_refuses_a_tolerance_it_cannot_meet(tolerance):
+    """Such a tolerance is never met, so the solver would run its whole iteration budget."""
+    with pytest.raises(StateError, match="tolerance"):
+        lower_bound(isotropic_state(2, 0.9), 2, tolerance=tolerance)
+
+
 def test_fidelity_sdp_identity(rng):
     rho = random_density((3,), rng)
     assert abs(fidelity_root_sdp(rho, rho) - 1.0) < 1e-6

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from gme.haar import ExperimentConfig, haar_sample_spectra
+from gme.optimizers import OptimizerConfig
 from gme.pure import entanglement_entropy, k_gme_pure
 from gme.states import (
     DensityMatrix,
@@ -19,7 +21,8 @@ from gme.states import (
     schmidt_spectrum,
     tensor_product,
 )
-from gme.zoo import bell_state, max_entangled, tiles_upb
+from gme.variational import perturbation_experiment
+from gme.zoo import bell_state, max_entangled, tiles_upb, two_by_d_theta_subspace
 
 from conftest import random_density, random_pure
 
@@ -298,3 +301,30 @@ def test_nan_states_refused():
         mat[entry] = np.nan
         with pytest.raises(StateError):
             DensityMatrix(mat, (2,))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: OptimizerConfig(seed=1.5),
+    lambda: ExperimentConfig(n_samples=10, seed=1.5),
+    lambda: sample_haar_pure((2, 2), 1.5),
+    lambda: haar_sample_spectra((2, 2), 3, 1.5),
+    lambda: perturbation_experiment(two_by_d_theta_subspace(3, 1.0), 2, 0.1, trials=1, seed=0.5),
+    lambda: OptimizerConfig(restarts=2.5),
+    lambda: OptimizerConfig(max_iterations=10.5),
+    lambda: ExperimentConfig(n_samples=2.5),
+    lambda: ExperimentConfig(n_samples=10, n_bins=2.5),
+    lambda: perturbation_experiment(two_by_d_theta_subspace(3, 1.0), 2, 0.1, trials=1.5, seed=0),
+], ids=["optimizer-seed", "experiment-seed", "haar-pure-seed", "haar-spectra-seed", "perturbation-seed",
+        "restarts", "max-iterations", "n-samples", "n-bins", "trials"])
+def test_seeds_and_counts_must_be_integers(make):
+    """A non-integer seed or count is refused where it arrives, not by NumPy later on."""
+    with pytest.raises(StateError, match="must be an integer"):
+        make()
+
+
+def test_numpy_integer_seeds_and_counts_pass():
+    cfg = OptimizerConfig(restarts=np.int64(2), max_iterations=np.int32(5), seed=np.int64(3))
+    assert cfg.restarts == 2 and cfg.seed == 3
+    assert ExperimentConfig(n_samples=np.int64(4), seed=np.uint8(1), n_bins=np.int16(3)).n_samples == 4
+    np.testing.assert_array_equal(sample_haar_pure((2, 2), np.int64(7)).amplitudes,
+                                  sample_haar_pure((2, 2), 7).amplitudes)

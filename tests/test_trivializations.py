@@ -139,6 +139,28 @@ def test_non_finite_parameters_rejected():
         make_trivialization("no_such_kind")
 
 
+@pytest.mark.parametrize("dims", [(2, 3, 4), (3, 3)])
+def test_bounded_rank_at_k_2_is_the_product_ansatz(dims):
+    """One product term carries no weight, so k = 2 is the product ansatz bit for bit."""
+    bounded, product = BoundedRankAnsatz(dims, 2), ProductAnsatz(dims)
+    assert bounded.input_len == product.input_len
+    rng = np.random.default_rng(5)
+    n = int(np.prod(dims))
+    theta = rng.standard_normal((6, product.input_len))
+    g = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+    vec_b, pullback_b = bounded.value_and_pullback(theta)
+    vec_p, pullback_p = product.value_and_pullback(theta)
+    np.testing.assert_array_equal(vec_b, vec_p)
+    np.testing.assert_array_equal(pullback_b(g), pullback_p(g))
+
+
+@pytest.mark.parametrize("n, r", [(2, 4), (3, 0)], ids=["more-columns-than-rows", "no-columns"])
+def test_stiefel_refuses_a_shape_with_no_isometry(n, r):
+    """An n x r isometry needs 0 < r <= n; past n the polar factor is no isometry."""
+    with pytest.raises(StateError, match="Stiefel"):
+        make_trivialization("stiefel", n=n, r=r)
+
+
 def test_roof_requires_enough_entries():
     with pytest.raises(StateError):
         RoofAnsatz(3, 4, BoundedRankAnsatz((2, 2), 2))
@@ -163,13 +185,16 @@ def _kron_sum_reference(dims, weights, factor_reals):
 
 
 def _reference_value(ansatz, theta):
-    if isinstance(ansatz, ProductAnsatz):
+    """A single term carries no weight; more than one carry softplus weights."""
+    if ansatz.terms == 1:
         return _kron_sum_reference(ansatz.dims, [1.0], [theta])
-    blocks = theta.reshape(ansatz.k - 1, -1)
+    blocks = theta.reshape(ansatz.terms, -1)
     return _kron_sum_reference(ansatz.dims, np.logaddexp(0.0, blocks[:, 0]), blocks[:, 1:])
 
 
-@pytest.mark.parametrize("ansatz", [BoundedRankAnsatz((2, 3, 4), 3), ProductAnsatz((2, 3, 4))])
+@pytest.mark.parametrize("ansatz", [
+    BoundedRankAnsatz((2, 3, 4), 3), ProductAnsatz((2, 3, 4)), BoundedRankAnsatz((2, 3, 4), 2),
+])
 def test_batched_ansatz_matches_kron_reference(ansatz):
     """Value against a kron sum, VJP against finite differences of 2 Re<g, value>."""
     rng = np.random.default_rng(21)

@@ -279,10 +279,10 @@ def test_multipartite_border_rank_transitions():
 
 def test_multipartite_bounded_rank_at_k_2_is_the_product_measure():
     shifts = shifts_complement_subspace()
-    assert abs(kgme_subspace(shifts, 2, MULTI).value - gme_subspace_multipartite(shifts, MULTI).value) < 1e-6
+    assert kgme_subspace(shifts, 2, MULTI).value == gme_subspace_multipartite(shifts, MULTI).value
     rho, cfg = upb_shifts_state(), MULTI.with_(max_iterations=300)
     roof = kgme_mixed(rho, 2, n_entries=10, config=cfg).value
-    assert abs(roof - gme_mixed_multipartite(rho, n_entries=10, config=cfg).value) < 1e-6
+    assert roof == gme_mixed_multipartite(rho, n_entries=10, config=cfg).value
 
 
 def test_range_lower_bound_cases(rng):
@@ -324,6 +324,13 @@ def test_perturbation_robustness_ordering():
         rep = perturbation_experiment(sub, 2, 0.25, trials=4, seed=7, config=FAST)
         minima.append(rep.min_value)
     assert minima[0] > minima[1] > minima[2] > 0.0
+
+
+@pytest.mark.parametrize("norm_bound", [np.nan, np.inf], ids=["nan", "inf"])
+def test_perturbation_refuses_a_non_finite_norm_bound(norm_bound):
+    sub = two_by_d_theta_subspace(3, np.pi / 2)
+    with pytest.raises(StateError, match="norm_bound"):
+        perturbation_experiment(sub, 2, norm_bound, trials=1, seed=0, config=FAST)
 
 
 @pytest.mark.parametrize("trials, seed", [(0, 0), (-2, 0), (1, -1)], ids=["no-trials", "negative-trials", "negative-seed"])

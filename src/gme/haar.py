@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pure import _check_distill_target, distill_curve, schmidt_tail
-from .states import NORM_ATOL, StateError, _as_dims, check_int, check_seed
+from .states import NORM_ATOL, StateError, _as_dims, check_int, check_seed, schmidt_spectra
 from .zoo import haar_eg2_density_d4, haar_egd_density, haar_psucc_full_density
 
 
@@ -188,7 +188,7 @@ def haar_sample_spectra(dims, n_samples: int, seed: int) -> np.ndarray:
     err = np.abs(np.linalg.norm(z, axis=1) - 1.0)
     if np.any(err > NORM_ATOL):
         raise StateError(f"state norm off 1 by {float(err.max())!r}, above {NORM_ATOL}")
-    return np.linalg.svd(z.reshape(n_samples, d_a, d_b), compute_uv=False) ** 2
+    return schmidt_spectra(z.reshape(n_samples, d_a, d_b))
 
 
 def tail_measures(lam: np.ndarray, k_values) -> dict[int, np.ndarray]:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .states import RANK_CUTOFF, DensityMatrix, PureState, StateError, schmidt_spectrum
+from .states import DensityMatrix, PureState, StateError, schmidt_rank, schmidt_spectrum
 
 _SUM_ATOL = 1e-12
 _DETERMINISTIC_ATOL = 1e-10  # a conversion probability this close to 1 counts as deterministic
@@ -119,18 +119,13 @@ def nielsen_transformable(psi: PureState, phi: PureState, bipartition=(0,)) -> b
     return majorization(lam_phi, lam_psi).majorizes
 
 
-def _schmidt_rank(lam) -> int:
-    # the singular-value cutoff on coefficients, squared for eigenvalues
-    return max(1, int(np.count_nonzero(lam > RANK_CUTOFF ** 2)))
-
-
 def vidal_probability(psi: PureState, phi: PureState, bipartition=(0,)) -> TransformReport:
     """Optimal LOCC conversion probability: min over k of tail-sum ratios."""
     if psi.dims != phi.dims:
         raise StateError("states must share one layout")
     lam_psi = schmidt_spectrum(psi, bipartition)
     lam_phi = schmidt_spectrum(phi, bipartition)
-    ratios = [schmidt_tail(lam_psi, k) / schmidt_tail(lam_phi, k) for k in range(2, _schmidt_rank(lam_phi) + 1)]
+    ratios = [schmidt_tail(lam_psi, k) / schmidt_tail(lam_phi, k) for k in range(2, schmidt_rank(lam_phi) + 1)]
     return _least_ratio([1.0] + ratios)  # E^(1) = 1 on both sides by convention
 
 

@@ -262,18 +262,33 @@ def _schmidt_matrix(psi: PureState, bipartition):
     return permute_parties_vector(psi.amplitudes, psi.dims, order).reshape(sides)
 
 
+def schmidt_spectra(mats) -> np.ndarray:
+    """Squared singular values, non-increasing, of each (d_A, d_B) matrix of a (..., d_A, d_B) stack.
+
+    The SVD, not an eigensolver of the reduced Gram matrix M M^dag: the Gram
+    route leaves zero eigenvalues at about eps |M|^2 (up to 2e-16 on 4 x 4
+    unit states), above ``schmidt_rank``'s cutoff, while the squares of zero
+    singular values sit near eps^2 (3e-32), far below it.
+    """
+    return np.linalg.svd(mats, compute_uv=False) ** 2
+
+
+def schmidt_rank(lam) -> int:
+    """The number of squared Schmidt coefficients above ``RANK_CUTOFF``^2, and at least 1."""
+    return max(1, int(np.count_nonzero(lam > RANK_CUTOFF**2)))
+
+
 def schmidt_decompose(psi: PureState, bipartition) -> SchmidtDecomposition:
     """Schmidt decomposition of a pure state across the bipartition (K | complement)."""
     mat = _schmidt_matrix(psi, bipartition)
     u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    r = max(1, int(np.count_nonzero(s > RANK_CUTOFF)))
+    r = schmidt_rank(s**2)
     return SchmidtDecomposition(s[:r].copy(), u[:, :r].copy(), vh[:r, :].T.copy())
 
 
 def schmidt_spectrum(psi: PureState, bipartition) -> np.ndarray:
     """Eigenvalues (squared Schmidt coefficients) in non-increasing order, full length."""
-    mat = _schmidt_matrix(psi, bipartition)
-    return np.linalg.svd(mat, compute_uv=False) ** 2
+    return schmidt_spectra(_schmidt_matrix(psi, bipartition))
 
 
 # ---------------------------------------------------------------------------

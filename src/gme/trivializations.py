@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .optimizers import scipy_extension
-from .states import StateError
+from .states import StateError, check_int
 
 # scipy.special.expit itself, taken from its extension file without the scipy.special package
 expit = scipy_extension("special", "_special_ufuncs").expit
@@ -191,7 +191,7 @@ class Stiefel:
     r: int
 
     def __post_init__(self):
-        if not 0 < self.r <= self.n:
+        if not 0 < check_int(self.r, "r") <= check_int(self.n, "n"):
             raise StateError(f"a Stiefel matrix needs 0 < r <= n, got n={self.n}, r={self.r}")
 
     @property
@@ -329,7 +329,7 @@ class BoundedRankAnsatz(_ProductTerms):
     k: int
 
     def __post_init__(self):
-        if self.k < 2:
+        if check_int(self.k, "k") < 2:
             raise StateError(f"bounded-rank ansatz needs k >= 2, got {self.k}")
 
     @property
@@ -346,7 +346,7 @@ class RoofAnsatz:
     inner: object  # ProductAnsatz or BoundedRankAnsatz
 
     def __post_init__(self):
-        if self.n_entries < self.rank:
+        if check_int(self.n_entries, "n_entries") < self.rank:
             raise StateError(
                 f"need n_entries >= rank, got {self.n_entries} < {self.rank}"
             )

@@ -144,8 +144,6 @@ def _truncation_tails(lam_tilde, dims, k, x):
     and that denominator (...), and the entries and their tails, each flattened
     to (..., n_entries, d_A d_B).  For k > min(d_A, d_B) the tails are 0.
     """
-    if len(dims) != 2:
-        raise StateError(f"roof truncation needs a bipartite layout, got {dims}")
     lead = x.shape[:-1]
     m = x @ lam_tilde.T
     mat = m.reshape(lead + tuple(dims))
@@ -174,6 +172,8 @@ def make_bipartite_roof(rho: DensityMatrix, k: int, n_entries: int) -> Objective
     pulled back through the polar factor.  The checks on k and n_entries are
     those of the joint roof it reduces.
     """
+    if len(rho.dims) != 2:
+        raise StateError(f"the bipartite roof needs a bipartite layout, got {rho.dims}")
     lam_tilde, rank = _rho_eigendata(rho)
     stf = RoofAnsatz(n_entries, rank, BoundedRankAnsatz(rho.dims, k)).stiefel
 
@@ -195,6 +195,8 @@ def make_mixed_roof(rho: DensityMatrix, inner, n_entries: int) -> Objective:
     entries are evaluated as one batch.  Two-party ``kgme_mixed`` uses
     ``make_bipartite_roof`` instead, which solves the closest states exactly.
     """
+    if tuple(inner.dims) != rho.dims:
+        raise StateError(f"closest-state layout {tuple(inner.dims)} differs from the state's {rho.dims}")
     lam_tilde, rank = _rho_eigendata(rho)
     ansatz = RoofAnsatz(n_entries, rank, inner)
     stf = ansatz.stiefel
@@ -286,7 +288,7 @@ def kgme_mixed(
     For two parties the roof is minimized over the decomposition alone, with
     each entry's closest state its truncated Schmidt expansion.
     """
-    n_entries = default_n_entries(rho) if n_entries is None else int(n_entries)
+    n_entries = default_n_entries(rho) if n_entries is None else n_entries
     if len(rho.dims) == 2:
         return _as_gme(minimize(make_bipartite_roof(rho, k, n_entries), config), 0.0)
     inner = BoundedRankAnsatz(rho.dims, k)
@@ -314,25 +316,6 @@ def range_lower_bound(
 ) -> float:
     """Lower bound on the mixed-state measure: the k-GME of the range of rho."""
     return kgme_subspace(range_subspace(rho), k, config).value
-
-
-def roof_truncation_value(rho: DensityMatrix, k: int, x: np.ndarray) -> float:
-    """Roof value for a fixed Stiefel matrix, inner maximization solved exactly.
-
-    For each decomposition entry the optimal rank-(k-1) state is the truncated
-    Schmidt expansion, so the entry contributes its Schmidt tail, and the value
-    is the entries' tail share: the value of ``make_bipartite_roof`` at x itself.
-    Needs two parties, k >= 2 and a finite x with one column per eigenvector of rho.
-    """
-    lam_tilde, rank = _rho_eigendata(rho)
-    if k < 2:
-        raise StateError(f"roof truncation needs k >= 2, got {k}")
-    x = np.asarray(x, dtype=complex)
-    if x.ndim != 2 or x.shape[1] != rank:
-        raise StateError(f"Stiefel matrix must be a matrix with {rank} columns")
-    if not np.isfinite(x).all():
-        raise StateError("Stiefel matrix must be finite")
-    return float(_truncation_tails(lam_tilde, rho.dims, k, x)[0])
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from gme.pure import (
     vidal_probability,
 )
 from gme.haar import distill_success, haar_sample_spectra, tail_measures
-from gme.states import PureState, StateError, schmidt_spectrum, tensor_product
+from gme.states import RANK_CUTOFF, PureState, StateError, schmidt_spectrum, tensor_product
 from gme.trivializations import complex_from_reals, polar
 from gme.zoo import bell_state, max_entangled, werner_state
 
@@ -202,6 +202,32 @@ def test_vidal_trivial_cases(rng):
     psi = random_pure((3, 3), rng)
     target = PureState([1, 0, 0, 0, 0, 0, 0, 0, 0], (3, 3))
     assert vidal_probability(psi, target).optimal_probability == 1.0
+
+
+def _rotated_schmidt_state(lam, rng):
+    """The 4 x 4 state with squared Schmidt coefficients lam (zero-padded), under random local unitaries."""
+    c = np.sqrt(np.pad(lam, (0, 4 - len(lam))))
+    mat = (random_unitary(4, rng) * c) @ random_unitary(4, rng).T
+    return PureState(mat.ravel(), (4, 4))
+
+
+def test_zero_schmidt_coefficients_stay_below_the_rank_cutoff(rng):
+    """Vanishing coefficients of a rotated state square to far below RANK_CUTOFF^2.
+
+    A reduced-Gram eigensolver leaves them near 4e-16; the rank rule then
+    counts them, and Vidal's law divides rounding by rounding past rank 2.
+    """
+    for _ in range(200):
+        a, b = np.sort(rng.uniform(0.05, 1.0, (2, 2)), axis=1)[:, ::-1]
+        lam_psi, lam_phi = a / a.sum(), b / b.sum()
+        psi, phi = _rotated_schmidt_state(lam_psi, rng), _rotated_schmidt_state(lam_phi, rng)
+        expected = min(1.0, lam_psi[1] / lam_phi[1])
+        assert abs(vidal_probability(psi, phi).optimal_probability - expected) <= 1e-12
+    for r in (1, 2, 3):
+        for _ in range(20):
+            lam = rng.uniform(0.05, 1.0, r)
+            psi = _rotated_schmidt_state(lam / lam.sum(), rng)
+            assert k_gme_pure(psi, (0,), r + 1) <= RANK_CUTOFF**2
 
 
 def test_distill_examples(rng):

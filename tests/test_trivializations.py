@@ -166,6 +166,18 @@ def test_roof_requires_enough_entries():
         RoofAnsatz(3, 4, BoundedRankAnsatz((2, 2), 2))
 
 
+@pytest.mark.parametrize("make, what", [
+    (lambda: make_trivialization("stiefel", n=4.5, r=2), "n"),
+    (lambda: make_trivialization("stiefel", n=4, r=1.5), "r"),
+    (lambda: BoundedRankAnsatz((2, 2), 2.5), "k"),
+    (lambda: RoofAnsatz(4.5, 4, BoundedRankAnsatz((2, 2), 2)), "n_entries"),
+], ids=["stiefel-n", "stiefel-r", "bounded-rank-k", "roof-n_entries"])
+def test_counts_and_ranks_must_be_integers(make, what):
+    """A fractional size is refused where it arrives, not carried into a float input_len."""
+    with pytest.raises(StateError, match=f"^{what} must be an integer"):
+        make()
+
+
 def test_complex_from_reals_interleaving():
     z = complex_from_reals(np.array([1.0, 2.0, 3.0, 4.0]))
     np.testing.assert_allclose(z, [1 + 2j, 3 + 4j])

@@ -13,12 +13,13 @@ from gme.variational import (
     kgme_mixed,
     kgme_pure_multipartite,
     kgme_subspace,
+    make_bipartite_roof,
+    make_mixed_roof,
     perturbation_experiment,
     range_lower_bound,
     range_subspace,
-    roof_truncation_value,
 )
-from gme.trivializations import Stiefel, polar
+from gme.trivializations import BoundedRankAnsatz
 from gme.zoo import (
     dicke_mixture_state,
     dicke_state,
@@ -151,12 +152,16 @@ def test_default_n_entries_formula():
     assert default_n_entries(rho) == 16
 
 
+def _roof_share(rho, k, x):
+    """The two-party roof's value at the Stiefel point x: its parameters are x's entries as interleaved reals."""
+    return make_bipartite_roof(rho, k, x.shape[0]).fun(np.ascontiguousarray(x).view(float).ravel())
+
+
 def test_roof_truncation_cross_check():
-    """The two-party roof's optimized value is the exact inner maximization at its Stiefel point."""
+    """The two-party roof's optimized value is its tail share at its best point."""
     rho = isotropic_state(2, 0.9)
     est = kgme_mixed(rho, 2, n_entries=8, config=FAST.with_(restarts=3))
-    x = polar(Stiefel(8, 4).matrix(est.best_params))
-    assert abs(roof_truncation_value(rho, 2, x) - est.value) < 1e-12
+    assert make_bipartite_roof(rho, 2, 8).fun(est.best_params) == est.value
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -170,7 +175,7 @@ def test_two_party_roof_reaches_the_isotropic_closed_form(seed):
 def test_roof_truncation_refuses_more_than_two_parties():
     """Three parties have no single Schmidt cut; the W state's 5/9 is not a tail of 2 x 2 slices."""
     with pytest.raises(StateError, match="bipartite"):
-        roof_truncation_value(w_state().to_density_matrix(), 2, np.ones((1, 1)))
+        make_bipartite_roof(w_state().to_density_matrix(), 2, 4)
 
 
 @pytest.mark.parametrize("k, dims", [(2, (3, 4)), (3, (3, 4)), (2, (4, 3)), (3, (4, 3))],
@@ -190,7 +195,7 @@ def test_roof_truncation_matches_the_per_entry_loop(rng, k, dims):
         s = np.linalg.svd(psit[:, i].reshape(dims), compute_uv=False)
         tail += float((s[k - 1 :] ** 2).sum())
         weight += float((s**2).sum())
-    assert abs(roof_truncation_value(rho, k, x) - tail / weight) <= 1e-14
+    assert abs(_roof_share(rho, k, x) - tail / weight) <= 1e-14
 
 
 @pytest.mark.parametrize("dims", [(3, 4), (4, 3)], ids=["3x4", "4x3"])
@@ -199,10 +204,8 @@ def test_roof_tail_vanishes_past_the_smaller_dimension(rng, k, dims):
     """Every entry has Schmidt rank <= 3 < k, so value and gradient are exactly 0."""
     from conftest import random_density
 
-    from gme.variational import make_bipartite_roof
-
     rho = random_density(dims, rng, rank=5)
-    assert roof_truncation_value(rho, k, random_unitary(9, rng)[:, :5]) == 0.0
+    assert _roof_share(rho, k, random_unitary(9, rng)[:, :5]) == 0.0
     obj = make_bipartite_roof(rho, k, 9)
     value, grad = obj.fun_grad(rng.standard_normal((2, obj.input_len)))
     assert not value.any() and not grad.any()
@@ -211,28 +214,37 @@ def test_roof_tail_vanishes_past_the_smaller_dimension(rng, k, dims):
 @pytest.mark.parametrize("k", [0, 1, -1])
 def test_roof_truncation_refuses_k_below_2(k):
     """Negative indices would wrap k = 0 and -1 around to the k = 3 and k = 2 tails."""
-    x = random_unitary(9, np.random.default_rng(0))
     with pytest.raises(StateError, match="k >= 2"):
-        roof_truncation_value(isotropic_state(3, 0.7), k, x)
+        make_bipartite_roof(isotropic_state(3, 0.7), k, 9)
 
 
-def _with_entry(x, i, j, value):
-    x = x.copy()
-    x[i, j] = value
-    return x
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_roof_refuses_non_finite_parameters(bad):
+    """A StateError, not the LinAlgError of a NaN in the polar factor."""
+    obj = make_bipartite_roof(isotropic_state(3, 0.7), 2, 9)
+    theta = np.zeros(obj.input_len)
+    theta[5] = bad
+    with pytest.raises(StateError, match="finite"):
+        obj.fun(theta)
 
 
-@pytest.mark.parametrize("make_x, match", [
-    (lambda x: _with_entry(x, 2, 3, np.nan), "finite"),
-    (lambda x: _with_entry(x, 2, 3, np.inf), "finite"),
-    (lambda x: x[:, 0], "columns"),
-    (lambda x: x[:, :8], "columns"),
-], ids=["nan", "inf", "vector", "too-few-columns"])
-def test_roof_truncation_refuses_a_malformed_matrix(make_x, match):
-    """A StateError, not the LinAlgError of a NaN or the IndexError of a vector."""
-    x = make_x(random_unitary(9, np.random.default_rng(0)))
-    with pytest.raises(StateError, match=match):
-        roof_truncation_value(isotropic_state(3, 0.7), 2, x)
+def test_counts_and_ranks_must_be_integers():
+    """A fractional entry count or k is refused, not truncated or left to fail inside NumPy."""
+    cfg = OptimizerConfig(restarts=1, max_iterations=5)
+    with pytest.raises(StateError, match="n_entries must be an integer"):
+        kgme_mixed(isotropic_state(2, 0.8), 2, 4.7, cfg)
+    with pytest.raises(StateError, match="k must be an integer"):
+        kgme_pure_multipartite(ghz_state(), 2.5, cfg)
+    with pytest.raises(StateError, match="n_entries must be an integer"):
+        gme_mixed_multipartite(upb_shifts_state(), 8.5, cfg)
+    est = kgme_mixed(isotropic_state(2, 0.8), np.int64(2), np.int32(5), cfg)
+    assert est.best_params.size == 2 * 5 * 4
+
+
+def test_joint_roof_refuses_closest_states_of_another_layout():
+    """Caught when the objective is built, not as a broadcasting error at its first evaluation."""
+    with pytest.raises(StateError, match="layout"):
+        make_mixed_roof(upb_shifts_state(), BoundedRankAnsatz((2, 2), 2), 5)
 
 
 @pytest.mark.parametrize("rho, k, exact, seed", [
